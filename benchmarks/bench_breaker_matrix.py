@@ -16,14 +16,9 @@ loop to the PR's bar:
 """
 
 import pytest
-from conftest import paper_profile, save_result
+from conftest import save_result
 
-from repro.bench.breaker import (
-    BreakerParams,
-    render_breaker_matrix,
-    run_breaker_matrix,
-    smoke_params,
-)
+from repro.bench.matrix import matrices, smoke_profile
 
 # The paper-profile matrix runs for minutes; CI exercises the smoke
 # profile through `python -m repro breaker --smoke` in the bench lane.
@@ -31,14 +26,13 @@ pytestmark = pytest.mark.slow
 
 
 def test_breaker_matrix(benchmark):
-    params = BreakerParams() if paper_profile() else smoke_params()
+    row = matrices()["breaker"]
+    params, faults = row.profile(smoke_profile())
 
     result = benchmark.pedantic(
-        lambda: run_breaker_matrix(seed=7, params=params),
-        rounds=1,
-        iterations=1,
+        lambda: row.run(faults, 7, params), rounds=1, iterations=1
     )
-    save_result("breaker_matrix", render_breaker_matrix(result))
+    save_result("breaker_matrix", row.render(result))
 
     # Zero trips on a healthy cluster.
     assert result.control.false_trips == 0

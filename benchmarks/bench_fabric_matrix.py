@@ -17,18 +17,10 @@ support on vs off, and holds the result to the PR's bar:
 """
 
 import pytest
-from conftest import paper_profile, save_result
+from conftest import save_result
 
-from repro.bench.fabric import (
-    CONTROL,
-    FabricParams,
-    SMOKE_FAULTS,
-    SYSTEMS,
-    WORKLOADS,
-    render_fabric_matrix,
-    run_fabric_matrix,
-    smoke_params,
-)
+from repro.bench.fabric import SYSTEMS, WORKLOADS
+from repro.bench.matrix import CONTROL, matrices, smoke_profile
 
 # The paper-profile matrix runs for minutes; CI exercises the smoke
 # profile through `python -m repro fabric --smoke` in the bench lane.
@@ -36,17 +28,13 @@ pytestmark = pytest.mark.slow
 
 
 def test_fabric_matrix(benchmark):
-    if paper_profile():
-        params, faults = FabricParams(), None
-    else:
-        params, faults = smoke_params(), SMOKE_FAULTS
+    row = matrices()["fabric"]
+    params, faults = row.profile(smoke_profile())
 
     result = benchmark.pedantic(
-        lambda: run_fabric_matrix(faults=faults, seed=7, params=params),
-        rounds=1,
-        iterations=1,
+        lambda: row.run(faults, 7, params), rounds=1, iterations=1
     )
-    save_result("fabric_matrix", render_fabric_matrix(result))
+    save_result("fabric_matrix", row.render(result))
 
     # Both halves of the story: containment and 2PC re-coupling.
     contained = result.contained_faults()

@@ -17,30 +17,19 @@ fault-free control, and holds the result to the PR's bar:
   is reserved for actual term changes).
 """
 
-from conftest import paper_profile, save_result
+from conftest import save_result
 
-from repro.bench.hedging import (
-    CONTROL,
-    HedgingParams,
-    SMOKE_FAULTS,
-    render_hedging_matrix,
-    run_hedging_matrix,
-    smoke_params,
-)
+from repro.bench.matrix import CONTROL, matrices, smoke_profile
 
 
 def test_hedging_matrix(benchmark):
-    if paper_profile():
-        params, faults = HedgingParams(), None
-    else:
-        params, faults = smoke_params(), SMOKE_FAULTS
+    row = matrices()["hedge"]
+    params, faults = row.profile(smoke_profile())
 
     result = benchmark.pedantic(
-        lambda: run_hedging_matrix(faults=faults, seed=7, params=params),
-        rounds=1,
-        iterations=1,
+        lambda: row.run(faults, 7, params), rounds=1, iterations=1
     )
-    save_result("hedging_matrix", render_hedging_matrix(result))
+    save_result("hedging_matrix", row.render(result))
 
     # The head-to-head produced both halves of the story.
     wins = result.p99_wins()

@@ -12,25 +12,19 @@ the loop to the PR's bar:
 * the flapping fault is re-detected on later pulses, not just the first.
 """
 
-from conftest import paper_profile, save_result
+from conftest import save_result
 
-from repro.bench.mitigation import (
-    MitigationParams,
-    render_mitigation_matrix,
-    run_mitigation_matrix,
-    smoke_params,
-)
+from repro.bench.matrix import matrices, smoke_profile
 
 
 def test_mitigation_matrix(benchmark):
-    params = MitigationParams() if paper_profile() else smoke_params()
+    row = matrices()["mitigate"]
+    params, faults = row.profile(smoke_profile())
 
     result = benchmark.pedantic(
-        lambda: run_mitigation_matrix(seed=7, params=params),
-        rounds=1,
-        iterations=1,
+        lambda: row.run(faults, 7, params), rounds=1, iterations=1
     )
-    save_result("mitigation_matrix", render_mitigation_matrix(result))
+    save_result("mitigation_matrix", row.render(result))
 
     # Zero mitigation actions on a healthy cluster.
     assert result.control.false_positive_demotions == 0

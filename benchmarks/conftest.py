@@ -7,14 +7,15 @@ The default ``paper`` profile reproduces the EXPERIMENTS.md numbers.
 
 from __future__ import annotations
 
-import os
 import pathlib
+
+from repro.bench.matrix import smoke_profile
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def paper_profile() -> bool:
-    return os.environ.get("REPRO_BENCH_PROFILE", "paper") == "paper"
+    return not smoke_profile()
 
 
 def save_result(name: str, text: str) -> None:

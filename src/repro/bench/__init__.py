@@ -1,6 +1,6 @@
 """Experiment harness: the code that regenerates every table and figure.
 
-Each module corresponds to one artifact of the paper's evaluation:
+Four modules correspond to the artifacts of the paper's evaluation:
 
 * :mod:`repro.bench.table1` — verifies the six fault injections hit the
   resources Table 1 says they hit, with measured magnitudes;
@@ -10,6 +10,19 @@ Each module corresponds to one artifact of the paper's evaluation:
   3-shard DepFastRaft deployment;
 * :mod:`repro.bench.figure3` — DepFastRaft, 3 and 5 nodes, minority of
   fail-slow followers: absolute metrics and the 5%-drift check.
+
+Beyond the paper, four matrices and a chaos campaign share one harness:
+
+* :mod:`repro.bench.matrix` — the seeded cell prologue, windowed
+  sampling, recovery search, SPG coupling sum, safety verdict, the
+  on/off result, and ``matrices()``, the table the CLI and the
+  benchmarks' profile switch are driven from;
+* :mod:`repro.bench.mitigation`, :mod:`repro.bench.hedging`,
+  :mod:`repro.bench.breaker`, :mod:`repro.bench.fabric` — the rows: what
+  each matrix schedules, counts, renders and accepts;
+* :mod:`repro.bench.chaos` — nemesis campaigns with safety verdicts;
+  :mod:`repro.bench.determinism` / :mod:`repro.bench.profile` — golden
+  trace hashes and the virtual-time profiler.
 
 The ``benchmarks/`` directory wraps these in pytest-benchmark harnesses;
 :mod:`repro.bench.report` renders the same results as text tables.

@@ -16,7 +16,7 @@ full attribution + breaker loop attached, once bare. Reported per run:
 * **detection latency** — fault onset to the first disk-attribution
   suspicion; **trip latency** — onset to the first breaker trip;
 * **throughput-recovery time** — onset to the first sustained window back
-  above ``recovery_fraction`` of the healthy baseline (censored at the
+  above the recovery threshold of the healthy baseline (censored at the
   horizon when it never recovers — the expected breaker-off outcome);
 * **staleness high-water marks** — max queued bytes and max queue-head
   age across all breaker WALs, which must stay within the configured
@@ -33,14 +33,33 @@ the write-behind queue dies with the process (``lost_on_recovery`` > 0),
 the group still converges, and the recorded client history stays
 linearizable (Wing–Gong).
 
-Everything is seeded-deterministic.
+The cell shape (deploy, load, windows, recovery search, convergence) is
+:mod:`repro.bench.matrix`'s. Everything is seeded-deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
+from repro.bench.matrix import (
+    CONTROL,
+    FLAP_CYCLES,
+    OnOffMatrix,
+    OnOffParams,
+    OnOffRun,
+    SafetyVerdict,
+    deploy_cell,
+    deploy_on_off_cell,
+    listed,
+    on_off_config,
+    recovery_time,
+    render_on_off_run,
+    run_windows,
+    safety_verdict,
+    since_onset,
+    verdict,
+)
 from repro.breaker.attribution import AttributionConfig
 from repro.breaker.write_behind import (
     BreakerConfig,
@@ -48,22 +67,11 @@ from repro.breaker.write_behind import (
     CircuitBreakerWal,
     install_breaker_wals,
 )
-from repro.cluster.cluster import Cluster
 from repro.detector.mitigation import MitigationConfig, MitigationController
 from repro.faults.catalog import FaultSpec, FaultType
 from repro.faults.injector import FaultInjector
-from repro.raft.config import RaftConfig
-from repro.raft.service import (
-    deploy_depfast_raft,
-    find_leader,
-    restart_raft_node,
-    wait_for_leader,
-)
-from repro.trace.linearize import HistoryRecorder, check_linearizable
-from repro.workload.driver import ClosedLoopDriver
-from repro.workload.ycsb import YcsbWorkload
-
-CONTROL = "none"
+from repro.raft.service import restart_raft_node
+from repro.trace.linearize import HistoryRecorder
 
 # Shared-backend disk faults: a dying storage backend, not a cgroup cap.
 # At 200 MB/s rated, 0.997 contention / 0.003 cap both leave ~0.6 MB/s —
@@ -78,254 +86,110 @@ FSYNC_STALL = FaultSpec(
     description="fsync stall pulse: bandwidth pinned to ~0.6 MB/s",
     params={"cap_fraction": 0.003},
 )
+# fsync_jitter row: short stall pulses — every sample window contains
+# one, so a jittery disk cannot look healthy between stalls.
+JITTER_ON_MS = 400.0
+JITTER_OFF_MS = 200.0
 
-MATRIX_FAULTS = ["disk_contention", "fsync_jitter", "disk_flapping"]
-SMOKE_FAULTS = ["disk_contention"]
+BREAKER = BreakerConfig()
+# Trip on the first suspicious window instead of the library-default
+# two: recovery time is dominated by the pre-trip backlog the leader
+# streams into the followers' disk queues (inflow x trip latency /
+# sick drain rate), so every saved window is worth seconds. The
+# fault-free control row asserts this costs no false trips.
+MITIGATION = MitigationConfig(attribution=AttributionConfig(suspect_windows=1))
 
 
-@dataclass
-class BreakerParams:
-    """Knobs for one breaker run (defaults sized for a few wall-seconds)."""
-
-    group_size: int = 3
-    n_clients: int = 32
-    record_count: int = 10_000
-    value_size: int = 1_000
-    update_fraction: float = 0.8
-    warmup_ms: float = 3_000.0
-    fault_at_ms: float = 3_000.0
-    end_ms: float = 20_000.0
-    sample_window_ms: float = 500.0
-    recovery_fraction: float = 0.6
-    sustain_windows: int = 2
-    request_timeout_ms: float = 400.0
-    # fsync_jitter row: short stall pulses — every sample window contains
-    # one, so a jittery disk cannot look healthy between stalls.
-    jitter_on_ms: float = 400.0
-    jitter_off_ms: float = 200.0
-    # disk_flapping row: long slow/healthy phases (the breaker must trip
-    # each slow phase and release in the healthy gaps).
-    flap_on_ms: float = 4_000.0
-    flap_off_ms: float = 3_000.0
-    flap_cycles: int = 2
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    # Trip on the first suspicious window instead of the library-default
-    # two: recovery time is dominated by the pre-trip backlog the leader
-    # streams into the followers' disk queues (inflow x trip latency /
-    # sick drain rate), so every saved window is worth seconds. The
-    # fault-free control row asserts this costs no false trips.
-    mitigation: MitigationConfig = field(
-        default_factory=lambda: MitigationConfig(
-            attribution=AttributionConfig(suspect_windows=1)
-        )
-    )
-
-    def config(self, group: Sequence[str]) -> RaftConfig:
-        return RaftConfig(
-            preferred_leader=group[0],
-            client_commit_timeout_ms=1_000.0,
-            snapshot_threshold_entries=400,
-            compaction_keep_entries=128,
-        )
-
-    def follower_ids(self, group: Sequence[str]) -> List[str]:
-        # The shared-backend story: every follower's disk degrades; the
-        # (preferred) leader's own device stays healthy as the baseline.
-        return list(group[1:])
+def _attach_breaker(cluster, raft, group) -> MitigationController:
+    """Swap in write-behind WALs and start the attribution loop — before
+    the workload exists, so its RNG stream and clients come after."""
+    install_breaker_wals(cluster, group, config=BREAKER)
+    controller = MitigationController(cluster, raft, detectors=[], config=MITIGATION)
+    controller.start()
+    return controller
 
 
 @dataclass
-class BreakerRunResult:
-    fault: str
-    breaker_on: bool
-    seed: int
-    healthy_ops_s: float
-    faulted_ops_s: float           # mean over the 4 windows after onset
+class BreakerRun(OnOffRun):
     detection_ms: Optional[float]  # None = disks never suspected
     trip_ms: Optional[float]       # None = breaker never tripped
-    recovery_ms: float             # censored at horizon when not recovered
-    recovered: bool
-    horizon_ms: float
     trips: int
     releases: int
     demotions: int
     absorbed_syncs: int
-    passthrough_syncs: int
     queued_bytes_hwm: int
     lag_ms_hwm: float
-    max_queued_bytes: int
-    max_lag_ms: float
     false_trips: int               # control row only
-
-    @property
-    def censored(self) -> bool:
-        return not self.recovered
 
     @property
     def staleness_ok(self) -> bool:
         return (
-            self.queued_bytes_hwm <= self.max_queued_bytes
-            and self.lag_ms_hwm <= self.max_lag_ms
+            self.queued_bytes_hwm <= BREAKER.max_queued_bytes
+            and self.lag_ms_hwm <= BREAKER.max_lag_ms
         )
 
 
 def _schedule_fault(
-    injector: FaultInjector, params: BreakerParams, fault: str, followers: List[str]
+    injector: FaultInjector, params: OnOffParams, fault: str, followers: List[str]
 ) -> None:
-    start = params.fault_at_ms
-    horizon = params.end_ms
+    start, horizon = params.fault_at_ms, params.end_ms
+    pulses = []  # (spec, at, duration), laid on every follower
     if fault == "disk_contention":
-        for node_id in followers:
-            injector.inject_transient(node_id, BACKEND_CONTENTION, start, horizon - start)
+        pulses.append((BACKEND_CONTENTION, start, params.fault_ms))
     elif fault == "fsync_jitter":
-        period = params.jitter_on_ms + params.jitter_off_ms
         t = start
         while t < horizon:
-            for node_id in followers:
-                injector.inject_transient(node_id, FSYNC_STALL, t, params.jitter_on_ms)
-            t += period
+            pulses.append((FSYNC_STALL, t, JITTER_ON_MS))
+            t += JITTER_ON_MS + JITTER_OFF_MS
     elif fault == "disk_flapping":
         period = params.flap_on_ms + params.flap_off_ms
-        for cycle in range(params.flap_cycles):
-            t = start + cycle * period
-            for node_id in followers:
-                injector.inject_transient(
-                    node_id, BACKEND_CONTENTION, t, params.flap_on_ms
-                )
+        for cycle in range(FLAP_CYCLES):
+            pulses.append((BACKEND_CONTENTION, start + cycle * period, params.flap_on_ms))
     elif fault != CONTROL:
-        raise KeyError(f"unknown breaker fault {fault!r}; known: {MATRIX_FAULTS}")
+        raise KeyError(f"unknown breaker fault {fault!r}")
+    for spec, at, duration in pulses:
+        for node_id in followers:
+            injector.inject_transient(node_id, spec, at, duration)
 
 
-def _breaker_wals(cluster: Cluster, group: Sequence[str]) -> List[CircuitBreakerWal]:
-    wals = []
-    for node_id in group:
-        wal = cluster.node(node_id).wal
-        if isinstance(wal, CircuitBreakerWal):
-            wals.append(wal)
-    return wals
-
-
-def run_breaker_once(
-    fault: str,
-    breaker_on: bool,
-    seed: int = 7,
-    params: Optional[BreakerParams] = None,
-) -> BreakerRunResult:
+def run_once(fault: str, on: bool, seed: int, params: OnOffParams) -> BreakerRun:
     """One seeded fault-vs-breaker run; deterministic end to end."""
-    params = params or BreakerParams()
-    cluster = Cluster(seed=seed)
-    group = [f"s{i + 1}" for i in range(params.group_size)]
-    raft = deploy_depfast_raft(cluster, group, config=params.config(group))
-    controller: Optional[MitigationController] = None
-    if breaker_on:
-        install_breaker_wals(cluster, group, config=params.breaker)
-        controller = MitigationController(
-            cluster, raft, detectors=[], config=params.mitigation
-        )
-        controller.start()
-    workload = YcsbWorkload(
-        cluster.rng.stream("workload"),
-        record_count=params.record_count,
-        value_size=params.value_size,
-        update_fraction=params.update_fraction,
-        distribution="uniform",
-    )
-    driver = ClosedLoopDriver(
-        cluster,
-        group,
-        workload,
-        n_clients=params.n_clients,
-        think_time_ms=2.0,
-        request_timeout_ms=params.request_timeout_ms,
-        sessions=True,
-    )
-    wait_for_leader(cluster, raft)
+    cell = deploy_on_off_cell(seed, params, after_deploy=_attach_breaker if on else None)
+    controller: Optional[MitigationController] = cell.attached
+    # The shared-backend story: every follower's disk degrades; the
+    # (preferred) leader's own device stays healthy as the baseline.
+    _schedule_fault(FaultInjector(cell.cluster), params, fault, cell.group[1:])
 
-    injector = FaultInjector(cluster)
-    followers = params.follower_ids(group)
-    _schedule_fault(injector, params, fault, followers)
-
-    driver.start()
-    window = params.sample_window_ms
-    samples: List[Tuple[float, float]] = []
-    t = 0.0
-    while t < params.end_ms:
-        t_next = min(t + window, params.end_ms)
-        cluster.run(t_next)
-        samples.append((t_next, driver.report(t, t_next).throughput_ops_s))
-        t = t_next
-    driver.stop()
-
+    samples = run_windows(cell, params.end_ms)
     fault_at = params.fault_at_ms
-    horizon = params.end_ms - fault_at
-    baseline_windows = [ops for end, ops in samples if 1_000.0 < end <= fault_at]
-    healthy = sum(baseline_windows) / len(baseline_windows) if baseline_windows else 0.0
-    after = [ops for end, ops in samples if end > fault_at]
-    faulted = sum(after[:4]) / len(after[:4]) if after else 0.0
-
-    recovery_ms = horizon
-    recovered = False
-    if fault != CONTROL and healthy > 0:
-        threshold = params.recovery_fraction * healthy
-        tail = [(end, ops) for end, ops in samples if end > fault_at]
-        need = max(1, params.sustain_windows)
-        for i in range(len(tail) - need + 1):
-            if all(ops >= threshold for _, ops in tail[i : i + need]):
-                recovery_ms = tail[i][0] - fault_at
-                recovered = True
-                break
-    if fault == CONTROL:
-        recovery_ms = 0.0
-        recovered = True
+    recovery = recovery_time(samples, fault_at, params.end_ms, control=fault == CONTROL)
 
     detection_ms: Optional[float] = None
     trip_ms: Optional[float] = None
     trips = releases = demotions = 0
-    false_trips = 0
     if controller is not None:
-        if controller.disks is not None:
-            first = controller.disks.first_suspected_at()
-            if first is not None and first >= fault_at:
-                detection_ms = first - fault_at
-        first_trip = controller.first_action_at(("breaker_trip",))
-        if first_trip is not None and first_trip >= fault_at:
-            trip_ms = first_trip - fault_at
+        detection_ms = since_onset(controller.disks.first_suspected_at(), fault_at)
+        trip_ms = since_onset(controller.first_action_at(("breaker_trip",)), fault_at)
         trips = controller.breaker_trips
         releases = controller.breaker_releases
         demotions = controller.demotions
-        if fault == CONTROL:
-            false_trips = controller.breaker_trips
 
-    absorbed = passthrough = 0
-    queued_hwm = 0
-    lag_hwm = 0.0
-    for wal in _breaker_wals(cluster, group):
-        absorbed += wal.absorbed_syncs
-        passthrough += wal.passthrough_syncs
-        queued_hwm = max(queued_hwm, wal.queued_bytes_hwm)
-        lag_hwm = max(lag_hwm, wal.lag_ms_hwm)
-
-    return BreakerRunResult(
+    wals = [cell.cluster.node(node_id).wal for node_id in cell.group]
+    wals = [wal for wal in wals if isinstance(wal, CircuitBreakerWal)]
+    return BreakerRun(
+        **vars(recovery),
         fault=fault,
-        breaker_on=breaker_on,
+        on=on,
         seed=seed,
-        healthy_ops_s=healthy,
-        faulted_ops_s=faulted,
         detection_ms=detection_ms,
         trip_ms=trip_ms,
-        recovery_ms=recovery_ms,
-        recovered=recovered,
-        horizon_ms=horizon,
         trips=trips,
         releases=releases,
         demotions=demotions,
-        absorbed_syncs=absorbed,
-        passthrough_syncs=passthrough,
-        queued_bytes_hwm=queued_hwm,
-        lag_ms_hwm=lag_hwm,
-        max_queued_bytes=params.breaker.max_queued_bytes,
-        max_lag_ms=params.breaker.max_lag_ms,
-        false_trips=false_trips,
+        absorbed_syncs=sum(wal.absorbed_syncs for wal in wals),
+        queued_bytes_hwm=max((wal.queued_bytes_hwm for wal in wals), default=0),
+        lag_ms_hwm=max((wal.lag_ms_hwm for wal in wals), default=0.0),
+        false_trips=trips if fault == CONTROL else 0,
     )
 
 
@@ -333,29 +197,14 @@ def run_breaker_once(
 # Crash-during-tripped-breaker chaos
 # ----------------------------------------------------------------------
 @dataclass
-class BreakerChaosResult:
-    seed: int
-    linearizable: bool
-    converged: bool
-    double_applies: int
+class BreakerChaosResult(SafetyVerdict):
     breaker_open_at_crash: bool
     queued_bytes_at_crash: int
     lost_on_recovery: int
     trips: int
-    completed_ops: int
-    client_errors: int
-    checked_ops: int
-    indeterminate_ops: int
-    digest: str
-
-    @property
-    def ok(self) -> bool:
-        return self.linearizable and self.converged and self.double_applies == 0
 
 
-def run_breaker_chaos(
-    seed: int = 7, params: Optional[BreakerParams] = None
-) -> BreakerChaosResult:
+def run_chaos(seed: int, params: OnOffParams) -> BreakerChaosResult:
     """Crash one follower while its breaker is OPEN; check safety.
 
     Timeline: backend contention hits both followers at ``fault_at``;
@@ -364,49 +213,35 @@ def run_breaker_chaos(
     actually fsynced, and the group must converge (and the client history
     stay linearizable) after the fault clears.
     """
-    params = params or BreakerParams()
-    cluster = Cluster(seed=seed)
-    group = [f"s{i + 1}" for i in range(params.group_size)]
-    config = params.config(group)
-    # Chaos-style election timing so failover, not timeout constants,
-    # dominates the crash window.
-    config.heartbeat_interval_ms = 50.0
-    config.election_timeout_min_ms = 300.0
-    config.election_timeout_max_ms = 600.0
-    raft = deploy_depfast_raft(cluster, group, config=config)
-    install_breaker_wals(cluster, group, config=params.breaker)
-    controller = MitigationController(cluster, raft, detectors=[], config=params.mitigation)
-    controller.start()
     history = HistoryRecorder()
-    workload = YcsbWorkload(
-        cluster.rng.stream("workload"),
-        record_count=64,
-        value_size=params.value_size,
-        update_fraction=0.6,
-        distribution="uniform",
-    )
-    driver = ClosedLoopDriver(
-        cluster,
-        group,
-        workload,
+    cell = deploy_cell(
+        seed,
+        # Chaos-style election timing so failover, not timeout constants,
+        # dominates the crash window.
+        on_off_config(
+            heartbeat_interval_ms=50.0,
+            election_timeout_min_ms=300.0,
+            election_timeout_max_ms=600.0,
+        ),
         n_clients=8,
-        think_time_ms=2.0,
-        request_timeout_ms=params.request_timeout_ms,
-        sessions=True,
+        record_count=64,
+        value_size=1_000,
+        update_fraction=0.6,
+        request_timeout_ms=400.0,
+        after_deploy=_attach_breaker,
         backoff_ms=20.0,
         max_attempts=40,
         history=history,
     )
-    wait_for_leader(cluster, raft)
-
-    injector = FaultInjector(cluster)
-    followers = params.follower_ids(group)
+    cluster, raft = cell.cluster, cell.raft
+    followers = cell.group[1:]
     victim = followers[0]
     fault_at = params.fault_at_ms
     # Heal well before the horizon so convergence happens on a healthy
     # backend; crash 60% of the way through the fault window (the breaker
     # is reliably OPEN by then) and restart while the disk is still sick.
     clear_at = params.end_ms - 4_000.0
+    injector = FaultInjector(cluster)
     for node_id in followers:
         injector.inject_transient(node_id, BACKEND_CONTENTION, fault_at, clear_at - fault_at)
 
@@ -426,38 +261,16 @@ def run_breaker_chaos(
         crash_at + 2_000.0, lambda: restart_raft_node(cluster, raft, victim)
     )
 
-    driver.start()
+    cell.driver.start()
     cluster.run(params.end_ms)
-    driver.stop()
+    cell.driver.stop()
 
-    converged = False
-    deadline = params.end_ms + 10_000.0
-    while cluster.kernel.now < deadline:
-        cluster.run(min(deadline, cluster.kernel.now + 250.0))
-        if cluster.crashed_nodes():
-            continue
-        applied = {raft[node_id].last_applied for node_id in group}
-        commits = {raft[node_id].commit_index for node_id in group}
-        digests = {raft[node_id].kv.stable_digest() for node_id in group}
-        if len(applied) == 1 and len(commits) == 1 and len(digests) == 1:
-            converged = True
-            break
-
-    verdict = check_linearizable(history)
     return BreakerChaosResult(
-        seed=seed,
-        linearizable=verdict.ok,
-        converged=converged,
-        double_applies=sum(raft[node_id].kv.double_applies for node_id in group),
+        **safety_verdict(cell, seed, history, params.end_ms + 10_000.0),
         breaker_open_at_crash=bool(crash_state.get("open", False)),
         queued_bytes_at_crash=int(crash_state.get("queued", 0)),
         lost_on_recovery=raft[victim].durable.lost_on_recovery,
-        trips=controller.breaker_trips,
-        completed_ops=driver.completed,
-        client_errors=driver.errors,
-        checked_ops=verdict.checked_ops,
-        indeterminate_ops=verdict.indeterminate_ops,
-        digest=raft[group[0]].kv.stable_digest(),
+        trips=cell.attached.breaker_trips,
     )
 
 
@@ -465,22 +278,8 @@ def run_breaker_chaos(
 # The matrix
 # ----------------------------------------------------------------------
 @dataclass
-class BreakerMatrixResult:
-    pairs: List[Tuple[BreakerRunResult, BreakerRunResult]]  # (on, off)
-    control: BreakerRunResult
-    chaos: Optional[BreakerChaosResult]
-
-    def speedup(self, fault: str) -> float:
-        for on, off in self.pairs:
-            if on.fault == fault:
-                if on.recovery_ms <= 0:
-                    return float("inf")
-                return off.recovery_ms / on.recovery_ms
-        raise KeyError(fault)
-
-    @property
-    def faults_at_2x(self) -> List[str]:
-        return [on.fault for on, _ in self.pairs if self.speedup(on.fault) >= 2.0]
+class BreakerMatrix(OnOffMatrix):
+    chaos: Optional[BreakerChaosResult] = None
 
     @property
     def staleness_ok(self) -> bool:
@@ -496,53 +295,32 @@ class BreakerMatrixResult:
         )
 
 
-def run_breaker_matrix(
-    faults: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    params: Optional[BreakerParams] = None,
-    include_chaos: bool = True,
-) -> BreakerMatrixResult:
+def run_matrix(
+    faults: Sequence[str], seed: int, params: OnOffParams, include_chaos: bool = True
+) -> BreakerMatrix:
     """The full campaign: every fault on/off, plus control and chaos."""
-    params = params or BreakerParams()
-    pairs = []
-    for fault in faults if faults is not None else MATRIX_FAULTS:
-        on = run_breaker_once(fault, True, seed=seed, params=params)
-        off = run_breaker_once(fault, False, seed=seed, params=params)
-        pairs.append((on, off))
-    control = run_breaker_once(CONTROL, True, seed=seed, params=params)
-    chaos = run_breaker_chaos(seed=seed, params=params) if include_chaos else None
-    return BreakerMatrixResult(pairs=pairs, control=control, chaos=chaos)
+    result = BreakerMatrix.run(run_once, faults, seed, params)
+    if include_chaos:
+        result.chaos = run_chaos(seed, params)
+    return result
 
 
-def _fmt_ms(value: Optional[float]) -> str:
-    return f"{value:7.0f}ms" if value is not None else "      --"
-
-
-def render_breaker_run(run: BreakerRunResult) -> str:
-    loop = "on " if run.breaker_on else "off"
-    recov = f"{run.recovery_ms:7.0f}ms" + (" (censored)" if run.censored else "")
-    staleness = ""
-    if run.breaker_on and (run.trips or run.absorbed_syncs):
-        staleness = (
+def render_run(run: BreakerRun) -> str:
+    counters = f"trips={run.trips} releases={run.releases} demotions={run.demotions}"
+    if run.on and (run.trips or run.absorbed_syncs):
+        counters += (
             f"  queue hwm {run.queued_bytes_hwm / 1e6:.1f}MB"
-            f"/{run.max_queued_bytes / 1e6:.0f}MB"
-            f" lag hwm {run.lag_ms_hwm / 1e3:.1f}s/{run.max_lag_ms / 1e3:.0f}s"
+            f"/{BREAKER.max_queued_bytes / 1e6:.0f}MB"
+            f" lag hwm {run.lag_ms_hwm / 1e3:.1f}s/{BREAKER.max_lag_ms / 1e3:.0f}s"
         )
-    return (
-        f"  {run.fault:16s} breaker={loop} detect={_fmt_ms(run.detection_ms)} "
-        f"trip={_fmt_ms(run.trip_ms)} recover={recov}  "
-        f"tput {run.faulted_ops_s:6.0f}/{run.healthy_ops_s:6.0f} ops/s  "
-        f"trips={run.trips} releases={run.releases} demotions={run.demotions}"
-        f"{staleness}"
+    return render_on_off_run(
+        run, "breaker", {"detect": run.detection_ms, "trip": run.trip_ms}, counters
     )
 
 
-def render_breaker_chaos(run: BreakerChaosResult) -> str:
-    flags = [
-        "linearizable" if run.linearizable else "NOT-LINEARIZABLE",
-        "converged" if run.converged else "NOT-CONVERGED",
-        "exactly-once" if run.double_applies == 0 else f"{run.double_applies} DOUBLE-APPLIES",
-        "crashed-while-OPEN" if run.breaker_open_at_crash else "crashed-while-closed",
+def render_chaos(run: BreakerChaosResult) -> str:
+    flags = run.flags() + [
+        "crashed-while-OPEN" if run.breaker_open_at_crash else "crashed-while-closed"
     ]
     return (
         f"  crash-under-trip  {' '.join(flags)}\n"
@@ -554,35 +332,20 @@ def render_breaker_chaos(run: BreakerChaosResult) -> str:
     )
 
 
-def render_breaker_matrix(result: BreakerMatrixResult) -> str:
+def render_matrix(result: BreakerMatrix) -> str:
     lines = ["breaker matrix (both-follower disk faults, write-behind on vs off):"]
     for on, off in result.pairs:
-        lines.append(render_breaker_run(on))
-        lines.append(render_breaker_run(off))
-        speedup = result.speedup(on.fault)
-        shown = "inf" if speedup == float("inf") else f"{speedup:.1f}x"
+        lines += [render_run(on), render_run(off)]
         bound = "within bounds" if on.staleness_ok else "STALENESS BOUND EXCEEDED"
-        lines.append(f"    -> recovery speedup {shown}; staleness {bound}")
-    lines.append(render_breaker_run(result.control))
+        lines.append(
+            f"    -> recovery speedup {result.speedup_text(on.fault)}; staleness {bound}"
+        )
+    lines.append(render_run(result.control))
     lines.append(f"    -> false trips on fault-free control: {result.control.false_trips}")
     if result.chaos is not None:
-        lines.append(render_breaker_chaos(result.chaos))
-    verdict = "MATRIX OK" if result.ok else "MATRIX BELOW TARGET"
+        lines.append(render_chaos(result.chaos))
     lines.append(
-        f"{verdict}: {len(result.faults_at_2x)}/{len(result.pairs)} disk faults "
-        f">=2x faster recovery with the breaker on "
-        f"({', '.join(result.faults_at_2x) if result.faults_at_2x else 'none'})"
+        f"{verdict(result.ok)}: {len(result.faults_at_2x)}/{len(result.pairs)} disk faults "
+        f">=2x faster recovery with the breaker on ({listed(result.faults_at_2x)})"
     )
     return "\n".join(lines)
-
-
-def smoke_params() -> BreakerParams:
-    """A scaled-down matrix for CI: shorter horizon, fewer clients."""
-    return BreakerParams(
-        n_clients=16,
-        warmup_ms=2_000.0,
-        fault_at_ms=2_000.0,
-        end_ms=12_000.0,
-        flap_on_ms=3_000.0,
-        flap_off_ms=2_000.0,
-    )

@@ -25,17 +25,15 @@ with ``python -m repro chaos --seed N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence
 
+from repro.bench.matrix import SafetyVerdict, deploy_cell, safety_verdict
 from repro.cluster.cluster import Cluster
 from repro.faults.chaos import Nemesis
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
-from repro.raft.service import deploy_depfast_raft, wait_for_leader
-from repro.trace.linearize import HistoryRecorder, check_linearizable
-from repro.workload.driver import ClosedLoopDriver
-from repro.workload.ycsb import YcsbWorkload
+from repro.trace.linearize import HistoryRecorder
 
 
 @dataclass
@@ -44,48 +42,17 @@ class ChaosParams:
 
     group_size: int = 3
     n_clients: int = 6
-    record_count: int = 32  # small keyspace → real read/write races
-    value_size: int = 16
-    update_fraction: float = 0.6
-    read_mode: str = "read_index"
     warmup_ms: float = 1_500.0
     chaos_window_ms: float = 8_000.0
     converge_deadline_ms: float = 10_000.0
     events: int = 10
-    request_timeout_ms: float = 400.0
-    backoff_ms: float = 20.0
-    max_attempts: int = 40
     majority_guard: bool = True
-    snapshot_threshold_entries: Optional[int] = 400
-
-    def config(self, group: Sequence[str]) -> RaftConfig:
-        # Tighter timing than the measurement experiments: chaos windows
-        # are short, and we want failover (not its timeout constants) to
-        # dominate the run.
-        return RaftConfig(
-            preferred_leader=group[0],
-            heartbeat_interval_ms=50.0,
-            election_timeout_min_ms=300.0,
-            election_timeout_max_ms=600.0,
-            client_commit_timeout_ms=1_000.0,
-            read_mode=self.read_mode,
-            snapshot_threshold_entries=self.snapshot_threshold_entries,
-            compaction_keep_entries=128,
-        )
 
 
 @dataclass
-class ChaosRunResult:
-    seed: int
+class ChaosRunResult(SafetyVerdict):
     group_size: int
-    linearizable: bool
-    converged: bool
-    double_applies: int
     duplicates_deduped: int
-    checked_ops: int
-    indeterminate_ops: int
-    completed_ops: int
-    client_errors: int
     crashes: int
     restarts: int
     partitions: int
@@ -95,12 +62,7 @@ class ChaosRunResult:
     lost_unacked_entries: int
     healthy_throughput_ops_s: float
     chaos_throughput_ops_s: float
-    digest: str
     nemesis_log: List = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.linearizable and self.converged and self.double_applies == 0
 
     @property
     def availability(self) -> float:
@@ -121,32 +83,33 @@ def run_chaos_once(
     observation probes without perturbing the run.
     """
     params = params or ChaosParams()
-    cluster = Cluster(seed=seed)
-    if on_cluster is not None:
-        on_cluster(cluster)
-    group = [f"s{i + 1}" for i in range(params.group_size)]
-    raft = deploy_depfast_raft(cluster, group, config=params.config(group))
     history = HistoryRecorder()
-    workload = YcsbWorkload(
-        cluster.rng.stream("workload"),
-        record_count=params.record_count,
-        value_size=params.value_size,
-        update_fraction=params.update_fraction,
-        distribution="uniform",
-    )
-    driver = ClosedLoopDriver(
-        cluster,
-        group,
-        workload,
+    cell = deploy_cell(
+        seed,
+        # Tighter timing than the measurement experiments: chaos windows
+        # are short, and we want failover (not its timeout constants) to
+        # dominate the run.
+        RaftConfig(
+            heartbeat_interval_ms=50.0,
+            election_timeout_min_ms=300.0,
+            election_timeout_max_ms=600.0,
+            client_commit_timeout_ms=1_000.0,
+            read_mode="read_index",
+            snapshot_threshold_entries=400,
+            compaction_keep_entries=128,
+        ),
         n_clients=params.n_clients,
-        think_time_ms=2.0,
-        request_timeout_ms=params.request_timeout_ms,
-        sessions=True,
-        backoff_ms=params.backoff_ms,
-        max_attempts=params.max_attempts,
+        record_count=32,  # small keyspace → real read/write races
+        value_size=16,
+        update_fraction=0.6,
+        request_timeout_ms=400.0,
+        group_size=params.group_size,
+        on_cluster=on_cluster,
+        backoff_ms=20.0,
+        max_attempts=40,
         history=history,
     )
-    wait_for_leader(cluster, raft)
+    cluster, raft, driver = cell.cluster, cell.raft, cell.driver
     driver.start()
     cluster.run(params.warmup_ms)
 
@@ -167,47 +130,21 @@ def run_chaos_once(
     # Stop new traffic, drain in-flight operations, then wait until every
     # replica applied the same prefix and the digests agree.
     driver.stop()
-    converged = False
-    deadline = chaos_end + params.converge_deadline_ms
-    while cluster.kernel.now < deadline:
-        cluster.run(min(deadline, cluster.kernel.now + 250.0))
-        if cluster.crashed_nodes():
-            continue
-        applied = {raft[node_id].last_applied for node_id in group}
-        commits = {raft[node_id].commit_index for node_id in group}
-        digests = {raft[node_id].kv.stable_digest() for node_id in group}
-        if len(applied) == 1 and len(commits) == 1 and len(digests) == 1:
-            converged = True
-            break
-
-    verdict = check_linearizable(history)
-    double_applies = sum(raft[node_id].kv.double_applies for node_id in group)
-    deduped = sum(raft[node_id].kv.duplicates_deduped for node_id in group)
-    recoveries = sum(raft[node_id].durable.recoveries for node_id in group)
-    lost = sum(raft[node_id].durable.lost_on_recovery for node_id in group)
-    healthy = driver.report(0.0, chaos_start)
-    during = driver.report(chaos_start, chaos_end)
+    safety = safety_verdict(cell, seed, history, chaos_end + params.converge_deadline_ms)
+    nodes = [raft[node_id] for node_id in cell.group]
     return ChaosRunResult(
-        seed=seed,
+        **safety,
         group_size=params.group_size,
-        linearizable=verdict.ok,
-        converged=converged,
-        double_applies=double_applies,
-        duplicates_deduped=deduped,
-        checked_ops=verdict.checked_ops,
-        indeterminate_ops=verdict.indeterminate_ops,
-        completed_ops=driver.completed,
-        client_errors=driver.errors,
+        duplicates_deduped=sum(node.kv.duplicates_deduped for node in nodes),
         crashes=nemesis.crashes,
         restarts=nemesis.restarts,
         partitions=nemesis.partitions,
         heals=nemesis.heals,
         skipped_events=nemesis.skipped,
-        recoveries=recoveries,
-        lost_unacked_entries=lost,
-        healthy_throughput_ops_s=healthy.throughput_ops_s,
-        chaos_throughput_ops_s=during.throughput_ops_s,
-        digest=raft[group[0]].kv.stable_digest(),
+        recoveries=sum(node.durable.recoveries for node in nodes),
+        lost_unacked_entries=sum(node.durable.lost_on_recovery for node in nodes),
+        healthy_throughput_ops_s=driver.report(0.0, chaos_start).throughput_ops_s,
+        chaos_throughput_ops_s=driver.report(chaos_start, chaos_end).throughput_ops_s,
         nemesis_log=list(nemesis.log),
     )
 
@@ -232,23 +169,18 @@ def run_chaos_campaign(
 ) -> CampaignResult:
     """The acceptance campaign: every (seed, group size) must be safe."""
     base = params or ChaosParams()
-    runs: List[ChaosRunResult] = []
-    for group_size in group_sizes:
-        for seed in seeds:
-            run_params = ChaosParams(**{**base.__dict__, "group_size": group_size})
-            runs.append(run_chaos_once(seed, run_params))
-    return CampaignResult(runs=runs)
+    return CampaignResult(
+        runs=[
+            run_chaos_once(seed, replace(base, group_size=group_size))
+            for group_size in group_sizes
+            for seed in seeds
+        ]
+    )
 
 
 def render_chaos_run(run: ChaosRunResult, verbose: bool = False) -> str:
-    flags = []
-    flags.append("linearizable" if run.linearizable else "NOT-LINEARIZABLE")
-    flags.append("converged" if run.converged else "NOT-CONVERGED")
-    flags.append(
-        "exactly-once" if run.double_applies == 0 else f"{run.double_applies} DOUBLE-APPLIES"
-    )
     lines = [
-        f"seed={run.seed} n={run.group_size}: {' '.join(flags)}",
+        f"seed={run.seed} n={run.group_size}: {' '.join(run.flags())}",
         f"  ops: {run.completed_ops} completed, {run.checked_ops} checked, "
         f"{run.indeterminate_ops} indeterminate, {run.duplicates_deduped} retries deduped, "
         f"{run.client_errors} gave up",

@@ -9,11 +9,11 @@ run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.baselines import BASELINE_SYSTEMS, deploy_baseline
+from repro.bench.matrix import smoke_profile
 from repro.cluster.cluster import Cluster
 from repro.faults.injector import FaultInjector
 from repro.faults.jitter import BackgroundJitter
@@ -57,9 +57,7 @@ class ExperimentParams:
 def bench_params() -> ExperimentParams:
     """Params selected by the REPRO_BENCH_PROFILE env var (paper|smoke)."""
     params = ExperimentParams()
-    if os.environ.get("REPRO_BENCH_PROFILE", "paper") == "smoke":
-        return params.scaled_for_smoke()
-    return params
+    return params.scaled_for_smoke() if smoke_profile() else params
 
 
 def run_rsm_experiment(

@@ -35,61 +35,27 @@ wait time flowing into the faulted node. The headline numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
+from repro.bench.matrix import CONTROL, CellParams, coupling_into, listed, verdict
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeSpec
-from repro.fabric.deploy import Fabric, deploy_fabric
-from repro.fabric.router import FabricLoadDriver, FabricRouter
+from repro.fabric.deploy import deploy_fabric
+from repro.fabric.router import FabricLoadDriver
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
-from repro.trace.spg import build_spg
 
-CONTROL = "none"
-
-MATRIX_FAULTS = [
-    "cpu_slow",
-    "cpu_contention",
-    "disk_slow",
-    "disk_contention",
-    "memory_contention",
-    "network_slow",
-]
-
-WORKLOADS = ["single", "cross"]
-SYSTEMS = ["raft", "depfast"]
-
-SMOKE_FAULTS = ["cpu_slow", "disk_slow"]
+# workload -> the slice of traffic that becomes cross-shard 2PC
+WORKLOADS = {"single": 0.0, "cross": 0.3}
+# system -> DepFast programming support on?
+SYSTEMS = {"raft": False, "depfast": True}
 
 
 @dataclass
-class FabricParams:
-    """Knobs for one matrix cell (defaults sized for a few wall-seconds)."""
-
-    n_groups: int = 4
-    n_nodes: int = 5
-    replicas: int = 3
-    n_clients: int = 16
-    n_keys: int = 400
-    write_ratio: float = 0.5
-    # The cross workload's 2PC slice; the single workload forces it to 0.
-    cross_txn_ratio: float = 0.3
-    txn_span: int = 2
-    warmup_ms: float = 1_500.0
-    fault_at_ms: float = 2_500.0
-    end_ms: float = 7_000.0
-    think_time_ms: float = 1.0
-    request_timeout_ms: float = 1_000.0
-    prepare_timeout_ms: float = 3_000.0
-
-    def config(self, discard_on_quorum: bool) -> RaftConfig:
-        # deploy_fabric swaps in each group's preferred leader.
-        return RaftConfig(
-            discard_on_quorum=discard_on_quorum,
-            client_commit_timeout_ms=2_000.0,
-            snapshot_threshold_entries=400,
-            compaction_keep_entries=128,
-        )
+class FabricParams(CellParams):
+    n_keys: int
+    # Start of the pre-onset window each group's post-onset is held against.
+    warmup_ms: float
 
 
 @dataclass
@@ -114,7 +80,7 @@ class GroupWindow:
 
 
 @dataclass
-class FabricRunResult:
+class FabricRun:
     workload: str
     system: str
     fault: str
@@ -131,15 +97,10 @@ class FabricRunResult:
     txn_post_p99_ms: float
     coupling_wait_ms: float
     coupling_red_edges: int
-    router_wait_into_fault_ms: float
 
     def _deg(self, group_ids: List[str]) -> float:
         values = [self.groups[gid].p99_degradation for gid in group_ids]
         return max(values) if values else 1.0
-
-    def _retention(self, group_ids: List[str]) -> float:
-        values = [self.groups[gid].throughput_retention for gid in group_ids]
-        return min(values) if values else 1.0
 
     @property
     def colocated_degradation(self) -> float:
@@ -154,57 +115,45 @@ class FabricRunResult:
     @property
     def remote_retention(self) -> float:
         """Worst post/pre throughput retention among remote groups."""
-        return self._retention(self.remote)
-
-    @property
-    def txn_degradation(self) -> float:
-        if self.txn_pre_p99_ms <= 0:
-            return 1.0
-        return self.txn_post_p99_ms / self.txn_pre_p99_ms
+        return min((self.groups[gid].throughput_retention for gid in self.remote), default=1.0)
 
 
-def run_fabric_once(
-    workload: str,
-    system: str,
-    fault: str,
-    seed: int = 7,
-    params: Optional[FabricParams] = None,
-) -> FabricRunResult:
+def run_once(
+    workload: str, system: str, fault: str, seed: int, params: FabricParams
+) -> FabricRun:
     """One seeded (workload, system, fault) cell; deterministic end to end."""
-    if workload not in WORKLOADS:
-        raise ValueError(f"unknown workload {workload!r}")
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    params = params or FabricParams()
+    depfast = SYSTEMS[system]
     cluster = Cluster(seed=seed)
-    spec = None if system == "depfast" else NodeSpec()
     fabric = deploy_fabric(
         cluster,
-        n_groups=params.n_groups,
-        n_nodes=params.n_nodes,
-        replicas=params.replicas,
-        config=params.config(discard_on_quorum=(system == "depfast")),
-        spec=spec,
+        n_groups=4,
+        n_nodes=5,
+        replicas=3,
+        # deploy_fabric swaps in each group's preferred leader.
+        config=RaftConfig(
+            discard_on_quorum=depfast,
+            client_commit_timeout_ms=2_000.0,
+            snapshot_threshold_entries=400,
+            compaction_keep_entries=128,
+        ),
+        spec=None if depfast else NodeSpec(),
     )
     fabric.wait_for_leaders()
 
     client = cluster.add_client("c1")
     client.start()
     router = fabric.router(
-        client,
-        request_timeout_ms=params.request_timeout_ms,
-        prepare_timeout_ms=params.prepare_timeout_ms,
-        race_votes=(system == "depfast"),
+        client, request_timeout_ms=1_000.0, prepare_timeout_ms=3_000.0, race_votes=depfast
     )
     driver = FabricLoadDriver(
         cluster,
         router,
         n_clients=params.n_clients,
         n_keys=params.n_keys,
-        write_ratio=params.write_ratio,
-        cross_txn_ratio=params.cross_txn_ratio if workload == "cross" else 0.0,
-        txn_span=params.txn_span,
-        think_time_ms=params.think_time_ms,
+        write_ratio=0.5,
+        cross_txn_ratio=WORKLOADS[workload],
+        txn_span=2,
+        think_time_ms=1.0,
         # Clients are partition-affine in both workloads, so cross-shard
         # 2PC is the *only* channel that can couple a remote group's
         # clients to the faulted node — the single-vs-cross retention
@@ -215,7 +164,7 @@ def run_fabric_once(
     fault_node = fabric.most_shared_node()
     if fault != CONTROL:
         FaultInjector(cluster).inject_transient(
-            fault_node, fault, params.fault_at_ms, params.end_ms - params.fault_at_ms
+            fault_node, fault, params.fault_at_ms, params.fault_ms
         )
 
     driver.start()
@@ -239,20 +188,9 @@ def run_fabric_once(
     colocated = fabric.groups_on(fault_node)
     remote = [gid for gid in fabric.group_ids() if gid not in colocated]
 
-    graph = build_spg(cluster.tracer.records)
-    coupling_wait = 0.0
-    red_edges = 0
-    router_wait = 0.0
-    for src, dst, data in graph.edges(data=True):
-        if dst != fault_node:
-            continue
-        coupling_wait += data["total_wait_ms"]
-        if data["color"] == "red":
-            red_edges += 1
-        if src == client.node_id:
-            router_wait += data["total_wait_ms"]
+    coupling_wait, red_edges = coupling_into(cluster, fault_node)
 
-    return FabricRunResult(
+    return FabricRun(
         workload=workload,
         system=system,
         fault=fault,
@@ -269,20 +207,19 @@ def run_fabric_once(
         txn_post_p99_ms=router.txn_recorder.percentile(99.0, *post),
         coupling_wait_ms=coupling_wait,
         coupling_red_edges=red_edges,
-        router_wait_into_fault_ms=router_wait,
     )
 
 
 @dataclass
-class FabricMatrixResult:
+class FabricMatrix:
     # fault -> workload -> system -> run
-    cells: Dict[str, Dict[str, Dict[str, FabricRunResult]]]
+    cells: Dict[str, Dict[str, Dict[str, FabricRun]]]
 
     def _faults(self) -> List[str]:
         return [fault for fault in self.cells if fault != CONTROL]
 
-    def cell(self, fault: str, workload: str, system: str) -> Optional[FabricRunResult]:
-        return self.cells.get(fault, {}).get(workload, {}).get(system)
+    def cell(self, fault: str, workload: str, system: str) -> FabricRun:
+        return self.cells[fault][workload][system]
 
     def contained_faults(self, system: str = "depfast") -> List[str]:
         """Faults whose single-shard damage stays with co-located groups.
@@ -293,10 +230,9 @@ class FabricMatrixResult:
         contained = []
         for fault in self._faults():
             run = self.cell(fault, "single", system)
-            if run is None or not run.remote:
-                continue
             if (
-                run.remote_degradation <= 1.3
+                run.remote
+                and run.remote_degradation <= 1.3
                 and run.colocated_degradation >= 2.0 * run.remote_degradation
             ):
                 contained.append(fault)
@@ -313,17 +249,15 @@ class FabricMatrixResult:
         """
         single = self.cell(fault, "single", system)
         cross = self.cell(fault, "cross", system)
-        if single is None or cross is None:
-            return 1.0
         return max(
             1.0, single.remote_retention / max(cross.remote_retention, 1e-6)
         )
 
     def worst_recoupling(self, system: str) -> float:
-        faults = self._faults()
-        if not faults:
-            return 1.0
-        return max(self.recoupling_amplification(fault, system) for fault in faults)
+        return max(
+            (self.recoupling_amplification(fault, system) for fault in self._faults()),
+            default=1.0,
+        )
 
     @property
     def ok(self) -> bool:
@@ -331,29 +265,41 @@ class FabricMatrixResult:
         return bool(self.contained_faults()) and self.worst_recoupling("depfast") >= 1.1
 
 
-def run_fabric_matrix(
-    faults: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    params: Optional[FabricParams] = None,
-    systems: Optional[Sequence[str]] = None,
-) -> FabricMatrixResult:
+def run_matrix(faults: Sequence[str], seed: int, params: FabricParams) -> FabricMatrix:
     """Every (fault, workload, system) cell plus the fault-free control."""
-    params = params or FabricParams()
-    wanted_faults = list(faults) if faults is not None else list(MATRIX_FAULTS)
-    wanted_systems = list(systems) if systems is not None else list(SYSTEMS)
-    cells: Dict[str, Dict[str, Dict[str, FabricRunResult]]] = {}
-    for fault in [CONTROL] + wanted_faults:
-        cells[fault] = {}
-        for workload in WORKLOADS:
-            cells[fault][workload] = {}
-            for system in wanted_systems:
-                cells[fault][workload][system] = run_fabric_once(
-                    workload, system, fault, seed=seed, params=params
-                )
-    return FabricMatrixResult(cells=cells)
+    return FabricMatrix(
+        cells={
+            fault: {
+                workload: {
+                    system: run_once(workload, system, fault, seed, params)
+                    for system in SYSTEMS
+                }
+                for workload in WORKLOADS
+            }
+            for fault in [CONTROL, *faults]
+        }
+    )
 
 
-def render_fabric_run(run: FabricRunResult) -> str:
+def determinism_gate(seed: int) -> Tuple[bool, str]:
+    """The smoke profile's acceptance gate: the same seed must produce
+    the same fabric trace, byte for byte, before any matrix numbers count."""
+    from repro.bench.determinism import run_traced
+
+    first = run_traced("fabric", seed=seed)
+    second = run_traced("fabric", seed=seed)
+    if first.trace_hash != second.trace_hash:
+        return False, (
+            "fabric: NONDETERMINISTIC — same seed produced different "
+            f"traces ({first.trace_hash[:16]}… vs {second.trace_hash[:16]}…)"
+        )
+    return True, (
+        f"fabric determinism: seed {seed} -> "
+        f"{first.trace_hash[:16]}… twice ({first.deliveries} deliveries)"
+    )
+
+
+def render_run(run: FabricRun) -> str:
     per_group = " ".join(
         f"{gid}×{run.groups[gid].p99_degradation:.2f}"
         for gid in sorted(run.groups)
@@ -374,22 +320,18 @@ def render_fabric_run(run: FabricRunResult) -> str:
     )
 
 
-def render_fabric_matrix(result: FabricMatrixResult) -> str:
+def render_matrix(result: FabricMatrix) -> str:
     lines = [
         "fabric matrix (fault on the most-shared node; post-onset vs "
         "pre-onset, per group):",
     ]
     for fault, by_workload in result.cells.items():
         lines.append(f"  {fault}:")
-        for workload in WORKLOADS:
-            for system in SYSTEMS:
-                run = by_workload.get(workload, {}).get(system)
-                if run is not None:
-                    lines.append(render_fabric_run(run))
-    contained = result.contained_faults()
+        for by_system in by_workload.values():
+            lines += [render_run(run) for run in by_system.values()]
     lines.append(
         "  single-shard slowness contained to co-located groups under: "
-        f"{', '.join(contained) if contained else 'none'}"
+        f"{listed(result.contained_faults())}"
     )
     for system in SYSTEMS:
         per_fault = ", ".join(
@@ -400,20 +342,8 @@ def render_fabric_matrix(result: FabricMatrixResult) -> str:
             f"  2PC re-coupling amplification ({system}): {per_fault} "
             f"(worst ×{result.worst_recoupling(system):.2f})"
         )
-    verdict = "MATRIX OK" if result.ok else "MATRIX BELOW TARGET"
     lines.append(
-        f"{verdict}: need single-shard containment under >=1 fault and "
+        f"{verdict(result.ok)}: need single-shard containment under >=1 fault and "
         "2PC re-coupling >=1.1x with quorum events on"
     )
     return "\n".join(lines)
-
-
-def smoke_params() -> FabricParams:
-    """A scaled-down matrix for CI: shorter horizon, fewer clients."""
-    return FabricParams(
-        n_clients=12,
-        n_keys=200,
-        warmup_ms=1_000.0,
-        fault_at_ms=1_800.0,
-        end_ms=4_800.0,
-    )

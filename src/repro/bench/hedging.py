@@ -19,75 +19,46 @@ P50/P99/P999 client latency, throughput, and the racing costs: duplicate
 -work amplification ``(primaries + hedges) / primaries``, how many of
 those duplicates were aimed at the already-faulted node, server-side
 dedup/abort counts, and the SPG wait time into the faulted node — the
-coupling the hedges re-introduce. Seeded-deterministic end to end.
+coupling the hedges re-introduce. The cell prologue and the SPG sum are
+:mod:`repro.bench.matrix`'s. Seeded-deterministic end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
-from repro.cluster.cluster import Cluster
+from repro.bench.matrix import (
+    CONTROL,
+    STARTUP_NOISE_MS,
+    CellParams,
+    coupling_into,
+    deploy_cell,
+    listed,
+    verdict,
+)
 from repro.cluster.node import NodeSpec
 from repro.faults.injector import FaultInjector
-from repro.hedging.hedge import HedgePolicy
 from repro.hedging.raft import HedgedRaftNode, deploy_hedged_raft
 from repro.raft.config import RaftConfig
-from repro.raft.service import deploy_depfast_raft, wait_for_leader
-from repro.trace.spg import build_spg
-from repro.workload.driver import ClosedLoopDriver
-from repro.workload.ycsb import YcsbWorkload
+from repro.raft.service import deploy_depfast_raft
 
-CONTROL = "none"
-
-# Table 1 rows, all injected on a follower (Figure 3's setup: the member
-# a quorum can out-wait — and the one a hedge races).
-MATRIX_FAULTS = [
-    "cpu_slow",
-    "cpu_contention",
-    "disk_slow",
-    "disk_contention",
-    "memory_contention",
-    "network_slow",
-]
-
-SYSTEMS = ["raft", "depfast", "hedged", "hedged+depfast"]
+# system -> (deploy function, DepFast's quorum discard + bounded buffers?)
+SYSTEMS = {
+    "raft": (deploy_depfast_raft, False),
+    "depfast": (deploy_depfast_raft, True),
+    "hedged": (deploy_hedged_raft, False),
+    "hedged+depfast": (deploy_hedged_raft, True),
+}
 
 
 @dataclass
-class HedgingParams:
-    """Knobs for one matrix cell (defaults sized for a few wall-seconds)."""
-
-    group_size: int = 3
-    n_clients: int = 24
-    record_count: int = 2_000
-    value_size: int = 500
-    # Mixed workload: the write majority keeps an apply backlog alive
-    # (what speculative reads overlap with) and exercises hedged
-    # replication; the read minority exercises read_index reads.
-    update_fraction: float = 0.6
-    warmup_ms: float = 2_000.0
-    fault_at_ms: float = 2_000.0
-    end_ms: float = 8_000.0
-    # Follower faults run to the horizon, as in Figure 3: the question
-    # is steady-state tail latency while the fault persists.
-    fault_duration_ms: Optional[float] = None
-    request_timeout_ms: float = 1_000.0
-    policy: HedgePolicy = field(default_factory=HedgePolicy)
-
-    def config(self, group: Sequence[str], discard_on_quorum: bool) -> RaftConfig:
-        return RaftConfig(
-            preferred_leader=group[0],
-            read_mode="read_index",
-            discard_on_quorum=discard_on_quorum,
-            client_commit_timeout_ms=2_000.0,
-            snapshot_threshold_entries=400,
-            compaction_keep_entries=128,
-        )
+class HedgingParams(CellParams):
+    record_count: int
 
 
 @dataclass
-class HedgingRunResult:
+class HedgingRun:
     system: str
     fault: str
     seed: int
@@ -107,7 +78,6 @@ class HedgingRunResult:
     speculation_rollbacks: int
     hedges_deduped: int
     hedges_aborted: int
-    repairs_started: int
     # SPG annotation: aggregate wait time server coroutines spent on
     # edges into the faulted node, and whether any of it was a red
     # (single-source) edge — the coupling signature.
@@ -122,123 +92,71 @@ class HedgingRunResult:
         return (self.append_primaries + self.append_hedges) / self.append_primaries
 
 
-def _deploy(system: str, cluster: Cluster, group: List[str], params: HedgingParams):
-    unbounded = NodeSpec()
-    if system == "raft":
-        return deploy_depfast_raft(
-            cluster, group, config=params.config(group, False), spec=unbounded
-        )
-    if system == "depfast":
-        return deploy_depfast_raft(cluster, group, config=params.config(group, True))
-    if system == "hedged":
-        return deploy_hedged_raft(
-            cluster,
-            group,
-            config=params.config(group, False),
-            spec=unbounded,
-            policy=params.policy,
-        )
-    if system == "hedged+depfast":
-        return deploy_hedged_raft(
-            cluster, group, config=params.config(group, True), policy=params.policy
-        )
-    raise ValueError(f"unknown system {system!r}")
-
-
-def run_hedging_once(
-    system: str,
-    fault: str,
-    seed: int = 7,
-    params: Optional[HedgingParams] = None,
-) -> HedgingRunResult:
+def run_once(system: str, fault: str, seed: int, params: HedgingParams) -> HedgingRun:
     """One seeded (system, fault) cell; deterministic end to end."""
-    params = params or HedgingParams()
-    cluster = Cluster(seed=seed)
-    group = [f"s{i + 1}" for i in range(params.group_size)]
-    raft = _deploy(system, cluster, group, params)
-    workload = YcsbWorkload(
-        cluster.rng.stream("workload"),
-        record_count=params.record_count,
-        value_size=params.value_size,
-        update_fraction=params.update_fraction,
-        distribution="uniform",
-    )
-    driver = ClosedLoopDriver(
-        cluster,
-        group,
-        workload,
+    deploy, depfast = SYSTEMS[system]
+    # Mixed workload: the write majority keeps an apply backlog alive
+    # (what speculative reads overlap with) and exercises hedged
+    # replication; the read minority exercises read_index reads.
+    cell = deploy_cell(
+        seed,
+        RaftConfig(
+            read_mode="read_index",
+            discard_on_quorum=depfast,
+            client_commit_timeout_ms=2_000.0,
+            snapshot_threshold_entries=400,
+            compaction_keep_entries=128,
+        ),
         n_clients=params.n_clients,
-        think_time_ms=2.0,
-        request_timeout_ms=params.request_timeout_ms,
-        sessions=True,
+        record_count=params.record_count,
+        value_size=500,
+        update_fraction=0.6,
+        request_timeout_ms=1_000.0,
+        deploy=deploy,
+        # The non-DepFast systems also lose the bounded send buffers.
+        spec=None if depfast else NodeSpec(),
     )
-    wait_for_leader(cluster, raft)
+    cluster, raft, driver = cell.cluster, cell.raft, cell.driver
 
-    fault_node = group[-1]  # a follower (preferred leader is group[0])
+    fault_node = cell.group[-1]  # a follower (preferred leader is group[0])
+    fault_at, end = params.fault_at_ms, params.end_ms
     if fault != CONTROL:
-        duration = params.fault_duration_ms
-        if duration is None:
-            duration = params.end_ms - params.fault_at_ms
-        FaultInjector(cluster).inject_transient(
-            fault_node, fault, params.fault_at_ms, duration
-        )
+        FaultInjector(cluster).inject_transient(fault_node, fault, fault_at, params.fault_ms)
 
     driver.start()
-    cluster.run(until_ms=params.end_ms)
+    cluster.run(until_ms=end)
     driver.stop()
 
-    fault_at, end = params.fault_at_ms, params.end_ms
-    report = driver.report(fault_at, end)
+    hedged = [node for node in raft.values() if isinstance(node, HedgedRaftNode)]
+    coupling_wait, red_edges = coupling_into(cluster, fault_node, sources=cell.group)
     recorder = driver.recorder
-
-    primaries = hedges = probe_hedges = to_faulted = 0
-    spec_reads = rollbacks = 0
-    for raft_node in raft.values():
-        if isinstance(raft_node, HedgedRaftNode):
-            primaries += raft_node.append_primaries
-            hedges += raft_node.append_hedges
-            probe_hedges += raft_node.probe_hedges
-            to_faulted += raft_node.hedges_by_peer.get(fault_node, 0)
-            spec_reads += raft_node.speculative_reads
-            rollbacks += raft_node.speculation_rollbacks
-
-    graph = build_spg(cluster.tracer.records)
-    coupling_wait = 0.0
-    red_edges = 0
-    for src, dst, data in graph.edges(data=True):
-        if dst == fault_node and src in group:
-            coupling_wait += data["total_wait_ms"]
-            if data["color"] == "red":
-                red_edges += 1
-
-    return HedgingRunResult(
+    return HedgingRun(
         system=system,
         fault=fault,
         seed=seed,
         completed=driver.completed,
         errors=driver.errors,
-        throughput_ops_s=report.throughput_ops_s,
+        throughput_ops_s=driver.report(fault_at, end).throughput_ops_s,
         p50_ms=recorder.percentile(50.0, fault_at, end),
         p99_ms=recorder.percentile(99.0, fault_at, end),
         p999_ms=recorder.percentile(99.9, fault_at, end),
-        healthy_p99_ms=recorder.percentile(99.0, 1_000.0, fault_at),
-        append_primaries=primaries,
-        append_hedges=hedges,
-        probe_hedges=probe_hedges,
-        hedges_to_faulted=to_faulted,
-        speculative_reads=spec_reads,
-        speculation_rollbacks=rollbacks,
+        healthy_p99_ms=recorder.percentile(99.0, STARTUP_NOISE_MS, fault_at),
+        append_primaries=sum(node.append_primaries for node in hedged),
+        append_hedges=sum(node.append_hedges for node in hedged),
+        probe_hedges=sum(node.probe_hedges for node in hedged),
+        hedges_to_faulted=sum(node.hedges_by_peer.get(fault_node, 0) for node in hedged),
+        speculative_reads=sum(node.speculative_reads for node in hedged),
+        speculation_rollbacks=sum(node.speculation_rollbacks for node in hedged),
         hedges_deduped=sum(n.ep.hedges_deduped for n in raft.values()),
         hedges_aborted=sum(n.ep.hedges_aborted for n in raft.values()),
-        repairs_started=sum(n.repairs_started for n in raft.values()),
         coupling_wait_ms=coupling_wait,
         coupling_red_edges=red_edges,
     )
 
 
 @dataclass
-class HedgingMatrixResult:
-    cells: Dict[str, Dict[str, HedgingRunResult]]  # fault -> system -> run
+class HedgingMatrix:
+    cells: Dict[str, Dict[str, HedgingRun]]  # fault -> system -> run
 
     def _faults(self) -> List[str]:
         return [fault for fault in self.cells if fault != CONTROL]
@@ -248,13 +166,8 @@ class HedgingMatrixResult:
         wins = []
         for fault in self._faults():
             row = self.cells[fault]
-            depfast = row["depfast"].p99_ms
-            hedged_best = min(
-                row[system].p99_ms
-                for system in ("hedged", "hedged+depfast")
-                if system in row
-            )
-            if hedged_best < depfast:
+            hedged_best = min(row["hedged"].p99_ms, row["hedged+depfast"].p99_ms)
+            if hedged_best < row["depfast"].p99_ms:
                 wins.append(fault)
         return wins
 
@@ -267,11 +180,7 @@ class HedgingMatrixResult:
         """
         recoupled = []
         for fault in self._faults():
-            row = self.cells[fault]
-            hedged = row.get("hedged")
-            depfast = row.get("depfast")
-            if hedged is None or depfast is None:
-                continue
+            hedged, depfast = self.cells[fault]["hedged"], self.cells[fault]["depfast"]
             wasted = hedged.hedges_to_faulted > 0 or hedged.amplification > 1.02
             no_gain = (
                 hedged.p99_ms >= depfast.p99_ms
@@ -286,27 +195,17 @@ class HedgingMatrixResult:
         return bool(self.p99_wins()) and bool(self.recoupling())
 
 
-def run_hedging_matrix(
-    faults: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    params: Optional[HedgingParams] = None,
-    systems: Optional[Sequence[str]] = None,
-) -> HedgingMatrixResult:
+def run_matrix(faults: Sequence[str], seed: int, params: HedgingParams) -> HedgingMatrix:
     """The full campaign: every (fault, system) cell plus the control row."""
-    params = params or HedgingParams()
-    wanted_faults = list(faults) if faults is not None else list(MATRIX_FAULTS)
-    wanted_systems = list(systems) if systems is not None else list(SYSTEMS)
-    cells: Dict[str, Dict[str, HedgingRunResult]] = {}
-    for fault in [CONTROL] + wanted_faults:
-        cells[fault] = {}
-        for system in wanted_systems:
-            cells[fault][system] = run_hedging_once(
-                system, fault, seed=seed, params=params
-            )
-    return HedgingMatrixResult(cells=cells)
+    return HedgingMatrix(
+        cells={
+            fault: {system: run_once(system, fault, seed, params) for system in SYSTEMS}
+            for fault in [CONTROL, *faults]
+        }
+    )
 
 
-def render_hedging_run(run: HedgingRunResult) -> str:
+def render_run(run: HedgingRun) -> str:
     extras = ""
     if run.append_hedges or run.probe_hedges or run.speculative_reads:
         extras = (
@@ -323,41 +222,17 @@ def render_hedging_run(run: HedgingRunResult) -> str:
     )
 
 
-def render_hedging_matrix(result: HedgingMatrixResult) -> str:
+def render_matrix(result: HedgingMatrix) -> str:
     lines = [
         "hedging matrix (follower faults; post-onset client latency, ms):",
     ]
     for fault, row in result.cells.items():
         lines.append(f"  {fault}:")
-        for system in SYSTEMS:
-            if system in row:
-                lines.append(render_hedging_run(row[system]))
-    wins = result.p99_wins()
-    recoupled = result.recoupling()
+        lines += [render_run(run) for run in row.values()]
+    lines.append(f"  hedging beats depfast on P99 under: {listed(result.p99_wins())}")
+    lines.append(f"  hedging re-couples slowness under: {listed(result.recoupling())}")
     lines.append(
-        f"  hedging beats depfast on P99 under: {', '.join(wins) if wins else 'none'}"
-    )
-    lines.append(
-        "  hedging re-couples slowness under: "
-        f"{', '.join(recoupled) if recoupled else 'none'}"
-    )
-    verdict = "MATRIX OK" if result.ok else "MATRIX BELOW TARGET"
-    lines.append(
-        f"{verdict}: need >=1 fault where racing wins and >=1 where it "
+        f"{verdict(result.ok)}: need >=1 fault where racing wins and >=1 where it "
         "re-couples the straggler"
     )
     return "\n".join(lines)
-
-
-def smoke_params() -> HedgingParams:
-    """A scaled-down matrix for CI: shorter horizon, fewer clients."""
-    return HedgingParams(
-        n_clients=12,
-        record_count=1_000,
-        warmup_ms=1_500.0,
-        fault_at_ms=1_500.0,
-        end_ms=5_000.0,
-    )
-
-
-SMOKE_FAULTS = ["cpu_slow", "network_slow"]

@@ -11,9 +11,9 @@ bare. Per run we report
 * **mitigation time** — fault onset to the first effective action
   (leadership moved off the faulted node, or a controller demotion);
 * **throughput-recovery time** — fault onset to the first sustained
-  window back above ``recovery_fraction`` of the healthy baseline,
-  censored at the horizon when the run never recovers (the expected
-  detector-off outcome: a fail-slow leader stays leader);
+  window back above the recovery threshold, censored at the horizon when
+  the run never recovers (the expected detector-off outcome: a fail-slow
+  leader stays leader);
 * **false-positive demotions** — any demotion or suspicion in the
   fault-free control run (must be zero).
 
@@ -22,290 +22,127 @@ A *flapping* row drives the leader slow/healthy/slow via
 reports how many distinct suspicions were raised — a one-shot detector
 scores 1 and sleeps through later pulses.
 
-Everything is seeded-deterministic: one (seed, fault, detector_on)
-triple always produces the same numbers.
+The cell shape (deploy, load, windows, recovery search) is
+:mod:`repro.bench.matrix`'s; everything is seeded-deterministic: one
+(seed, fault, detector_on) triple always produces the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster
+from repro.bench.matrix import (
+    CONTROL,
+    FLAP_CYCLES,
+    OnOffMatrix,
+    OnOffParams,
+    OnOffRun,
+    deploy_on_off_cell,
+    listed,
+    recovery_time,
+    render_on_off_run,
+    run_windows,
+    since_onset,
+    verdict,
+)
 from repro.detector.leader_detector import DetectorConfig
-from repro.detector.mitigation import MitigationConfig, deploy_mitigation
+from repro.detector.mitigation import deploy_mitigation
 from repro.faults.chaos import Nemesis
 from repro.faults.injector import FaultInjector
-from repro.raft.config import RaftConfig
-from repro.raft.service import deploy_depfast_raft, find_leader, wait_for_leader
-from repro.workload.driver import ClosedLoopDriver
-from repro.workload.ycsb import YcsbWorkload
+from repro.raft.service import find_leader
 
-# The sentinel fault names for the two special matrix rows.
-CONTROL = "none"
+# The sentinel fault name of the flapping row.
 FLAPPING = "flapping"
 
-# Default Table 1 rows for the matrix (all injected on the leader, where
-# fail-slow hurts most and detector-off has no escape hatch).
-MATRIX_FAULTS = [
-    "cpu_slow",
-    "cpu_contention",
-    "disk_slow",
-    "disk_contention",
-    "memory_contention",
-    "network_slow",
-]
+# Slightly more sensitive crawl threshold than the detector default:
+# memory contention degrades commits to ~1/3 of healthy, right at the
+# stock 0.3 boundary. Healthy rate tracks the learned best rate closely,
+# so 0.4 stays far from false-positive territory (the control row
+# asserts that).
+DETECTOR = DetectorConfig(commit_rate_fraction=0.4)
 
 
 @dataclass
-class MitigationParams:
-    """Knobs for one mitigation run (defaults sized for a few wall-seconds)."""
-
-    group_size: int = 3
-    # Enough closed-loop pressure that a fail-slow leader visibly backs
-    # up (its pending queue must clear the detector's threshold).
-    n_clients: int = 32
-    record_count: int = 10_000
-    value_size: int = 1_000
-    update_fraction: float = 0.8
-    warmup_ms: float = 3_000.0
-    fault_at_ms: float = 3_000.0
-    end_ms: float = 20_000.0
-    # Leader faults run to the horizon: the point of the matrix is what
-    # happens while the fault *persists*, not after it expires.
-    fault_duration_ms: Optional[float] = None
-    sample_window_ms: float = 500.0
-    # Recovery = sustained throughput above this fraction of the healthy
-    # (pre-fault) per-window mean.
-    recovery_fraction: float = 0.6
-    sustain_windows: int = 2
-    # Flapping row: on/off pulse lengths and pulse count.
-    flap_on_ms: float = 4_000.0
-    flap_off_ms: float = 3_000.0
-    flap_cycles: int = 2
-    request_timeout_ms: float = 400.0
-    # Slightly more sensitive crawl threshold than the detector default:
-    # memory contention degrades commits to ~1/3 of healthy, right at
-    # the stock 0.3 boundary. Healthy rate tracks the learned best rate
-    # closely, so 0.4 stays far from false-positive territory (the
-    # control row asserts that).
-    detector: DetectorConfig = field(
-        default_factory=lambda: DetectorConfig(commit_rate_fraction=0.4)
-    )
-    mitigation: MitigationConfig = field(default_factory=MitigationConfig)
-
-    def config(self, group: Sequence[str]) -> RaftConfig:
-        # Default protocol timing on purpose: tight chaos-style election
-        # timeouts would let vanilla Raft "detect" a network-slow leader
-        # by accident (delayed heartbeats blow a 600ms timeout), hiding
-        # exactly the blind spot the detector loop is for.
-        return RaftConfig(
-            preferred_leader=group[0],
-            client_commit_timeout_ms=1_000.0,
-            # Keep the log compacted: these runs commit tens of
-            # thousands of entries and WAL bookkeeping is O(retained).
-            snapshot_threshold_entries=400,
-            compaction_keep_entries=128,
-        )
-
-
-@dataclass
-class MitigationRunResult:
-    fault: str
-    detector_on: bool
-    seed: int
-    healthy_ops_s: float
-    faulted_ops_s: float          # mean over the 4 windows after onset
+class MitigationRun(OnOffRun):
     detection_ms: Optional[float]  # None = never detected
     mitigation_ms: Optional[float]  # None = leadership never moved / no action
-    recovery_ms: float             # censored at horizon_ms when not recovered
-    recovered: bool
-    horizon_ms: float
     suspicions: int
     transfers: int
     demotions: int
     promotions: int
     false_positive_demotions: int
-    leader_timeline: List[Tuple[float, Optional[str]]] = field(default_factory=list)
-
-    @property
-    def censored(self) -> bool:
-        return not self.recovered
 
 
-def run_mitigation_once(
-    fault: str,
-    detector_on: bool,
-    seed: int = 7,
-    params: Optional[MitigationParams] = None,
-) -> MitigationRunResult:
+def run_once(fault: str, on: bool, seed: int, params: OnOffParams) -> MitigationRun:
     """One seeded fault-vs-loop run; deterministic end to end.
 
     ``fault`` is a Table 1 name, ``"none"`` for the fault-free control,
     or ``"flapping"`` for the pulsed-leader-slowness row.
     """
-    params = params or MitigationParams()
-    cluster = Cluster(seed=seed)
-    group = [f"s{i + 1}" for i in range(params.group_size)]
-    raft = deploy_depfast_raft(cluster, group, config=params.config(group))
-    workload = YcsbWorkload(
-        cluster.rng.stream("workload"),
-        record_count=params.record_count,
-        value_size=params.value_size,
-        update_fraction=params.update_fraction,
-        distribution="uniform",
-    )
-    driver = ClosedLoopDriver(
-        cluster,
-        group,
-        workload,
-        n_clients=params.n_clients,
-        think_time_ms=2.0,
-        request_timeout_ms=params.request_timeout_ms,
-        sessions=True,
-    )
-    wait_for_leader(cluster, raft)
-
+    cell = deploy_on_off_cell(seed, params)
     controller = None
-    if detector_on:
+    if on:
         _detectors, controller = deploy_mitigation(
-            cluster,
-            raft,
-            detector_config=params.detector,
-            config=params.mitigation,
+            cell.cluster, cell.raft, detector_config=DETECTOR
         )
 
-    injector = FaultInjector(cluster)
-    fault_node = group[0]  # the preferred leader
+    injector = FaultInjector(cell.cluster)
+    fault_node = cell.group[0]  # the preferred leader
+    fault_at = params.fault_at_ms
     if fault == FLAPPING:
-        nemesis = Nemesis(cluster, raft, injector=injector)
+        nemesis = Nemesis(cell.cluster, cell.raft, injector=injector)
         nemesis.schedule_flapping(
-            "__leader__",
-            "cpu_slow",
-            params.fault_at_ms,
-            params.flap_on_ms,
-            params.flap_off_ms,
-            params.flap_cycles,
+            "__leader__", "cpu_slow", fault_at, params.flap_on_ms, params.flap_off_ms, FLAP_CYCLES
         )
     elif fault != CONTROL:
-        duration = params.fault_duration_ms
-        if duration is None:
-            duration = params.end_ms - params.fault_at_ms
-        injector.inject_transient(fault_node, fault, params.fault_at_ms, duration)
+        injector.inject_transient(fault_node, fault, fault_at, params.fault_ms)
 
-    driver.start()
+    leaders: List[Tuple[float, Optional[str]]] = []  # (window end, leader id)
 
-    # Advance in sampling windows, recording per-window throughput and
-    # the leader identity at each window edge.
-    window = params.sample_window_ms
-    samples: List[Tuple[float, float, Optional[str]]] = []  # (end, ops_s, leader)
-    t = 0.0
-    while t < params.end_ms:
-        t_next = min(t + window, params.end_ms)
-        cluster.run(t_next)
-        leader = find_leader(raft)
-        samples.append(
-            (
-                t_next,
-                driver.report(t, t_next).throughput_ops_s,
-                leader.id if leader is not None else None,
-            )
-        )
-        t = t_next
-    driver.stop()
+    def sample_leader(end: float) -> None:
+        leader = find_leader(cell.raft)
+        leaders.append((end, leader.id if leader is not None else None))
 
-    fault_at = params.fault_at_ms
-    horizon = params.end_ms - fault_at
-    # Healthy baseline: windows fully inside (1000ms, fault onset] — the
-    # first second is startup/election noise.
-    baseline_windows = [ops for end, ops, _ in samples if 1_000.0 < end <= fault_at]
-    healthy = (
-        sum(baseline_windows) / len(baseline_windows) if baseline_windows else 0.0
-    )
-    after = [ops for end, ops, _ in samples if end > fault_at]
-    faulted = sum(after[:4]) / len(after[:4]) if after else 0.0
-
-    # Recovery: first window-end past onset opening a run of
-    # ``sustain_windows`` consecutive windows at/above the threshold.
-    recovery_ms = horizon
-    recovered = False
-    if fault != CONTROL and healthy > 0:
-        threshold = params.recovery_fraction * healthy
-        tail = [(end, ops) for end, ops, _ in samples if end > fault_at]
-        need = max(1, params.sustain_windows)
-        for i in range(len(tail) - need + 1):
-            if all(ops >= threshold for _, ops in tail[i : i + need]):
-                recovery_ms = tail[i][0] - fault_at
-                recovered = True
-                break
+    samples = run_windows(cell, params.end_ms, on_window=sample_leader)
+    recovery = recovery_time(samples, fault_at, params.end_ms, control=fault == CONTROL)
 
     # Mitigation: when did leadership actually move off the faulted node
     # (or, failing that, when did the controller first act)?
     mitigation_ms: Optional[float] = None
-    for end, _ops, leader in samples:
+    for end, leader in leaders:
         if end > fault_at and leader is not None and leader != fault_node:
             mitigation_ms = end - fault_at
             break
     detection_ms: Optional[float] = None
-    suspicions = 0
-    transfers = demotions = promotions = 0
-    false_positives = 0
+    suspicions = transfers = demotions = promotions = 0
     if controller is not None:
-        first = controller.first_detection_at()
-        if first is not None and first >= fault_at:
-            detection_ms = first - fault_at
+        detection_ms = since_onset(controller.first_detection_at(), fault_at)
         suspicions = sum(len(d.suspicions) for d in controller.detectors)
         transfers = controller.transfers
         demotions = controller.demotions
         promotions = controller.promotions
         if mitigation_ms is None:
-            acted = controller.first_action_at()
-            if acted is not None and acted >= fault_at:
-                mitigation_ms = acted - fault_at
-        if fault == CONTROL:
-            false_positives = controller.demotions + suspicions
-    if fault == CONTROL:
-        recovery_ms = 0.0
-        recovered = True
+            mitigation_ms = since_onset(controller.first_action_at(), fault_at)
 
-    return MitigationRunResult(
+    return MitigationRun(
+        **vars(recovery),
         fault=fault,
-        detector_on=detector_on,
+        on=on,
         seed=seed,
-        healthy_ops_s=healthy,
-        faulted_ops_s=faulted,
         detection_ms=detection_ms,
         mitigation_ms=mitigation_ms,
-        recovery_ms=recovery_ms,
-        recovered=recovered,
-        horizon_ms=horizon,
         suspicions=suspicions,
         transfers=transfers,
         demotions=demotions,
         promotions=promotions,
-        false_positive_demotions=false_positives,
-        leader_timeline=[(end, leader) for end, _ops, leader in samples],
+        false_positive_demotions=demotions + suspicions if fault == CONTROL else 0,
     )
 
 
 @dataclass
-class MitigationMatrixResult:
-    pairs: List[Tuple[MitigationRunResult, MitigationRunResult]]  # (on, off)
-    control: MitigationRunResult
-    flapping: Optional[MitigationRunResult]
-
-    def speedup(self, fault: str) -> float:
-        """Throughput-recovery speedup of detector-on over detector-off."""
-        for on, off in self.pairs:
-            if on.fault == fault:
-                if on.recovery_ms <= 0:
-                    return float("inf")
-                return off.recovery_ms / on.recovery_ms
-        raise KeyError(fault)
-
-    @property
-    def faults_at_2x(self) -> List[str]:
-        return [on.fault for on, _ in self.pairs if self.speedup(on.fault) >= 2.0]
+class MitigationMatrix(OnOffMatrix):
+    flapping: Optional[MitigationRun] = None
 
     @property
     def target_at_2x(self) -> int:
@@ -322,77 +159,43 @@ class MitigationMatrixResult:
         )
 
 
-def run_mitigation_matrix(
-    faults: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    params: Optional[MitigationParams] = None,
-    include_flapping: bool = True,
-) -> MitigationMatrixResult:
+def run_matrix(
+    faults: Sequence[str], seed: int, params: OnOffParams, include_flapping: bool = True
+) -> MitigationMatrix:
     """The full campaign: every fault on/off, plus control and flapping."""
-    params = params or MitigationParams()
-    pairs = []
-    for fault in faults if faults is not None else MATRIX_FAULTS:
-        on = run_mitigation_once(fault, True, seed=seed, params=params)
-        off = run_mitigation_once(fault, False, seed=seed, params=params)
-        pairs.append((on, off))
-    control = run_mitigation_once(CONTROL, True, seed=seed, params=params)
-    flapping = (
-        run_mitigation_once(FLAPPING, True, seed=seed, params=params)
-        if include_flapping
-        else None
-    )
-    return MitigationMatrixResult(pairs=pairs, control=control, flapping=flapping)
+    result = MitigationMatrix.run(run_once, faults, seed, params)
+    if include_flapping:
+        result.flapping = run_once(FLAPPING, True, seed, params)
+    return result
 
 
-def _fmt_ms(value: Optional[float]) -> str:
-    return f"{value:7.0f}ms" if value is not None else "      --"
-
-
-def render_mitigation_run(run: MitigationRunResult) -> str:
-    loop = "on " if run.detector_on else "off"
-    recov = f"{run.recovery_ms:7.0f}ms" + (" (censored)" if run.censored else "")
-    return (
-        f"  {run.fault:16s} loop={loop} detect={_fmt_ms(run.detection_ms)} "
-        f"mitigate={_fmt_ms(run.mitigation_ms)} recover={recov}  "
-        f"tput {run.faulted_ops_s:6.0f}/{run.healthy_ops_s:6.0f} ops/s  "
+def render_run(run: MitigationRun) -> str:
+    return render_on_off_run(
+        run,
+        "loop",
+        {"detect": run.detection_ms, "mitigate": run.mitigation_ms},
         f"suspicions={run.suspicions} transfers={run.transfers} "
-        f"demotions={run.demotions} promotions={run.promotions}"
+        f"demotions={run.demotions} promotions={run.promotions}",
     )
 
 
-def render_mitigation_matrix(result: MitigationMatrixResult) -> str:
+def render_matrix(result: MitigationMatrix) -> str:
     lines = ["mitigation matrix (leader faults, detector on vs off):"]
     for on, off in result.pairs:
-        lines.append(render_mitigation_run(on))
-        lines.append(render_mitigation_run(off))
-        speedup = result.speedup(on.fault)
-        shown = "inf" if speedup == float("inf") else f"{speedup:.1f}x"
-        lines.append(f"    -> recovery speedup {shown}")
-    lines.append(render_mitigation_run(result.control))
+        lines += [render_run(on), render_run(off)]
+        lines.append(f"    -> recovery speedup {result.speedup_text(on.fault)}")
+    lines.append(render_run(result.control))
     lines.append(
         f"    -> false-positive demotions: {result.control.false_positive_demotions}"
     )
     if result.flapping is not None:
-        lines.append(render_mitigation_run(result.flapping))
+        lines.append(render_run(result.flapping))
         lines.append(
             f"    -> re-detections across pulses: {result.flapping.suspicions}"
         )
-    verdict = "MATRIX OK" if result.ok else "MATRIX BELOW TARGET"
     lines.append(
-        f"{verdict}: {len(result.faults_at_2x)}/{len(result.pairs)} faults "
+        f"{verdict(result.ok)}: {len(result.faults_at_2x)}/{len(result.pairs)} faults "
         f">=2x faster recovery with the loop on (target {result.target_at_2x}; "
-        f"{', '.join(result.faults_at_2x) if result.faults_at_2x else 'none'})"
+        f"{listed(result.faults_at_2x)})"
     )
     return "\n".join(lines)
-
-
-def smoke_params() -> MitigationParams:
-    """A scaled-down matrix for CI: shorter horizon, fewer clients."""
-    return MitigationParams(
-        n_clients=16,
-        warmup_ms=2_000.0,
-        fault_at_ms=2_000.0,
-        end_ms=12_000.0,
-        flap_on_ms=3_000.0,
-        flap_off_ms=2_000.0,
-    )

@@ -13,7 +13,12 @@ Usage::
     python -m repro breaker [--smoke] [--seed N] [--faults disk_contention ...]
     python -m repro fabric [--smoke] [--seed N] [--faults cpu_slow ...]
     python -m repro lint [paths] [--format text|json] [--strict]
-    python -m repro profile <raft|hedged|paxos|chain|chaos|microbench> [--seed N]
+    python -m repro profile <raft|hedged|paxos|chain|chaos|breaker|fabric|microbench>
+
+``mitigate``, ``hedge``, ``breaker`` and ``fabric`` are the rows of
+:func:`repro.bench.matrix.matrices`: one parser stanza and one handler
+serve all four (``mitigate`` adds ``--no-flapping``, ``breaker``
+``--no-chaos``).
 
 ``--smoke`` runs a shortened profile (shapes, not magnitudes); the default
 is the full paper profile used by EXPERIMENTS.md. ``lint`` runs the static
@@ -26,7 +31,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.bench.determinism import SCENARIOS
 from repro.bench.experiments import ExperimentParams, SYSTEMS, run_rsm_experiment
+from repro.bench.matrix import matrices
 from repro.faults.catalog import fault_names
 
 
@@ -82,159 +89,41 @@ def _cmd_chaos(args) -> int:
         render_chaos_campaign,
         render_chaos_run,
         run_chaos_campaign,
-        run_chaos_once,
     )
 
     if any(size < 3 or size % 2 == 0 for size in args.group_sizes):
         print("chaos: group sizes must be odd and >= 3 (Raft majorities)")
         return 2
     params = ChaosParams(events=args.events, majority_guard=not args.no_guard)
-    if args.seed is not None:
-        results = []
-        for group_size in args.group_sizes:
-            run_params = ChaosParams(**{**params.__dict__, "group_size": group_size})
-            run = run_chaos_once(args.seed, run_params)
-            results.append(run)
+    seeds = range(args.seeds) if args.seed is None else [args.seed]
+    campaign = run_chaos_campaign(seeds, group_sizes=args.group_sizes, params=params)
+    if args.seed is None:
+        print(render_chaos_campaign(campaign, verbose=args.verbose))
+    else:
+        for run in campaign.runs:
             print(render_chaos_run(run, verbose=args.verbose))
-        return 0 if all(run.ok for run in results) else 1
-    campaign = run_chaos_campaign(
-        range(args.seeds), group_sizes=args.group_sizes, params=params
-    )
-    print(render_chaos_campaign(campaign, verbose=args.verbose))
     return 0 if campaign.ok else 1
 
 
-def _cmd_mitigate(args) -> int:
-    from repro.bench.mitigation import (
-        MATRIX_FAULTS,
-        MitigationParams,
-        render_mitigation_matrix,
-        run_mitigation_matrix,
-        smoke_params,
-    )
-
-    unknown = [fault for fault in args.faults if fault not in MATRIX_FAULTS]
+def _cmd_matrix(args) -> int:
+    """Every matrix subcommand: validate, pick the profile, run, render."""
+    row = args.matrix
+    unknown = [fault for fault in args.faults if fault not in row.faults]
     if unknown:
         print(
-            f"mitigate: unknown fault(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(MATRIX_FAULTS)})"
+            f"{row.name}: unknown fault(s) {', '.join(unknown)} "
+            f"(choose from {', '.join(row.faults)})"
         )
         return 2
-    params = smoke_params() if args.smoke else MitigationParams()
-    result = run_mitigation_matrix(
-        faults=args.faults or None,
-        seed=args.seed,
-        params=params,
-        include_flapping=not args.no_flapping,
-    )
-    print(render_mitigation_matrix(result))
-    if result.control.false_positive_demotions:
-        return 1
-    return 0 if result.ok else 1
-
-
-def _cmd_hedge(args) -> int:
-    from repro.bench.hedging import (
-        MATRIX_FAULTS,
-        SMOKE_FAULTS,
-        HedgingParams,
-        render_hedging_matrix,
-        run_hedging_matrix,
-        smoke_params,
-    )
-
-    unknown = [fault for fault in args.faults if fault not in MATRIX_FAULTS]
-    if unknown:
-        print(
-            f"hedge: unknown fault(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(MATRIX_FAULTS)})"
-        )
-        return 2
-    if args.smoke:
-        params = smoke_params()
-        faults = args.faults or SMOKE_FAULTS
-    else:
-        params = HedgingParams()
-        faults = args.faults or None
-    result = run_hedging_matrix(faults=faults, seed=args.seed, params=params)
-    print(render_hedging_matrix(result))
-    return 0 if result.ok else 1
-
-
-def _cmd_breaker(args) -> int:
-    from repro.bench.breaker import (
-        MATRIX_FAULTS,
-        SMOKE_FAULTS,
-        BreakerParams,
-        render_breaker_matrix,
-        run_breaker_matrix,
-        smoke_params,
-    )
-
-    unknown = [fault for fault in args.faults if fault not in MATRIX_FAULTS]
-    if unknown:
-        print(
-            f"breaker: unknown fault(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(MATRIX_FAULTS)})"
-        )
-        return 2
-    if args.smoke:
-        params = smoke_params()
-        faults = args.faults or SMOKE_FAULTS
-    else:
-        params = BreakerParams()
-        faults = args.faults or None
-    result = run_breaker_matrix(
-        faults=faults,
-        seed=args.seed,
-        params=params,
-        include_chaos=not args.no_chaos,
-    )
-    print(render_breaker_matrix(result))
-    return 0 if result.ok else 1
-
-
-def _cmd_fabric(args) -> int:
-    from repro.bench.fabric import (
-        MATRIX_FAULTS,
-        SMOKE_FAULTS,
-        FabricParams,
-        render_fabric_matrix,
-        run_fabric_matrix,
-        smoke_params,
-    )
-
-    unknown = [fault for fault in args.faults if fault not in MATRIX_FAULTS]
-    if unknown:
-        print(
-            f"fabric: unknown fault(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(MATRIX_FAULTS)})"
-        )
-        return 2
-    if args.smoke:
-        # Acceptance gate first: the same seed must produce the same
-        # fabric trace, byte for byte, before any matrix numbers count.
-        from repro.bench.determinism import run_traced
-
-        first = run_traced("fabric", seed=args.seed)
-        second = run_traced("fabric", seed=args.seed)
-        if first.trace_hash != second.trace_hash:
-            print(
-                "fabric: NONDETERMINISTIC — same seed produced different "
-                f"traces ({first.trace_hash[:16]}… vs {second.trace_hash[:16]}…)"
-            )
+    params, faults = row.profile(args.smoke)
+    if args.smoke and row.smoke_gate is not None:
+        passed, line = row.smoke_gate(args.seed)
+        print(line)
+        if not passed:
             return 1
-        print(
-            f"fabric determinism: seed {args.seed} -> "
-            f"{first.trace_hash[:16]}… twice ({first.deliveries} deliveries)"
-        )
-        params = smoke_params()
-        faults = args.faults or SMOKE_FAULTS
-    else:
-        params = FabricParams()
-        faults = args.faults or None
-    result = run_fabric_matrix(faults=faults, seed=args.seed, params=params)
-    print(render_fabric_matrix(result))
+    switches = {kwarg: getattr(args, kwarg) for _flag, kwarg, _help in row.flags}
+    result = row.run(args.faults or faults, args.seed, params, **switches)
+    print(row.render(result))
     return 0 if result.ok else 1
 
 
@@ -317,81 +206,26 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--verbose", action="store_true", help="print nemesis logs")
     chaos.set_defaults(func=_cmd_chaos)
 
-    mitigate = sub.add_parser(
-        "mitigate",
-        help="mitigation matrix: detector-on vs -off across Table 1 leader faults",
-    )
-    mitigate.add_argument("--seed", type=int, default=7)
-    mitigate.add_argument("--smoke", action="store_true", help="shortened CI profile")
-    mitigate.add_argument(
-        "--faults",
-        nargs="*",
-        default=[],
-        help="subset of Table 1 faults to run (default: the full matrix)",
-    )
-    mitigate.add_argument(
-        "--no-flapping", action="store_true", help="skip the flapping-fault row"
-    )
-    mitigate.set_defaults(func=_cmd_mitigate)
-
-    hedge = sub.add_parser(
-        "hedge",
-        help="hedging matrix: four fail-slow defenses raced across follower faults",
-    )
-    hedge.add_argument("--seed", type=int, default=7)
-    hedge.add_argument("--smoke", action="store_true", help="shortened CI profile")
-    hedge.add_argument(
-        "--faults",
-        nargs="*",
-        default=[],
-        help="subset of Table 1 faults to run (default: the full matrix)",
-    )
-    hedge.set_defaults(func=_cmd_hedge)
-
-    breaker = sub.add_parser(
-        "breaker",
-        help="breaker matrix: write-behind WAL breaker on vs off across disk faults",
-    )
-    breaker.add_argument("--seed", type=int, default=7)
-    breaker.add_argument("--smoke", action="store_true", help="shortened CI profile")
-    breaker.add_argument(
-        "--faults",
-        nargs="*",
-        default=[],
-        help="subset of disk faults to run (default: the full matrix)",
-    )
-    breaker.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the crash-during-tripped-breaker chaos row",
-    )
-    breaker.set_defaults(func=_cmd_breaker)
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="fabric matrix: sharded multi-Raft coupling under one fail-slow node",
-    )
-    fabric.add_argument("--seed", type=int, default=7)
-    fabric.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shortened CI profile (also double-runs the seeded fabric "
-        "scenario and fails on any trace-hash mismatch)",
-    )
-    fabric.add_argument(
-        "--faults",
-        nargs="*",
-        default=[],
-        help="subset of Table 1 faults to run (default: the full matrix)",
-    )
-    fabric.set_defaults(func=_cmd_fabric)
+    for row in matrices().values():
+        matrix = sub.add_parser(row.name, help=row.help)
+        matrix.add_argument("--seed", type=int, default=7)
+        matrix.add_argument("--smoke", action="store_true", help="shortened CI profile")
+        matrix.add_argument(
+            "--faults",
+            nargs="*",
+            default=[],
+            help=f"subset of {', '.join(row.faults)} (default: the profile's list)",
+        )
+        for flag, kwarg, text in row.flags:
+            matrix.add_argument(flag, dest=kwarg, action="store_false", help=text)
+        matrix.set_defaults(func=_cmd_matrix, matrix=row)
 
     prof = sub.add_parser(
         "profile", help="virtual-time profiler: events/wall-second per scenario"
     )
     prof.add_argument(
         "scenario",
-        choices=("raft", "hedged", "paxos", "chain", "chaos", "microbench"),
+        choices=(*SCENARIOS, "microbench"),
         help="seeded scenario to profile, or the bare kernel microbench",
     )
     prof.add_argument("--seed", type=int, default=42)

@@ -23,6 +23,12 @@ class TestParser:
         assert args.smoke
         args = build_parser().parse_args(["figure3"])
         assert not args.smoke
+        args = build_parser().parse_args(["breaker", "--smoke", "--no-chaos"])
+        assert args.smoke and not args.include_chaos
+
+    @pytest.mark.parametrize("scenario", ["raft", "breaker", "fabric", "microbench"])
+    def test_profile_accepts_every_determinism_scenario(self, scenario):
+        assert build_parser().parse_args(["profile", scenario]).scenario == scenario
 
 
 class TestCommands:
