@@ -68,6 +68,7 @@ from repro.breaker.write_behind import (
     install_breaker_wals,
 )
 from repro.detector.mitigation import MitigationConfig, MitigationController
+from repro.detector.signal import DISK
 from repro.faults.catalog import FaultSpec, FaultType
 from repro.faults.injector import FaultInjector
 from repro.raft.service import restart_raft_node
@@ -168,7 +169,7 @@ def run_once(fault: str, on: bool, seed: int, params: OnOffParams) -> BreakerRun
     trip_ms: Optional[float] = None
     trips = releases = demotions = 0
     if controller is not None:
-        detection_ms = since_onset(controller.disks.first_suspected_at(), fault_at)
+        detection_ms = since_onset(controller.signal.first_suspected_at(DISK), fault_at)
         trip_ms = since_onset(controller.first_action_at(("breaker_trip",)), fault_at)
         trips = controller.breaker_trips
         releases = controller.breaker_releases

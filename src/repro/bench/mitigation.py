@@ -7,7 +7,7 @@ the :class:`~repro.detector.mitigation.MitigationController`) and once
 bare. Per run we report
 
 * **detection latency** — fault onset to the first suspicion (detector
-  verdict or scorer hysteresis edge);
+  verdict or health-signal hysteresis edge);
 * **mitigation time** — fault onset to the first effective action
   (leadership moved off the faulted node, or a controller demotion);
 * **throughput-recovery time** — fault onset to the first sustained

@@ -3,9 +3,9 @@
 Two halves close the disk side of the §5 mitigation loop:
 
 * :mod:`repro.breaker.attribution` — per-resource fault attribution:
-  disk-slow inflates local fsync trace points but not peer RTTs, so a
-  classifier over the tracer's streams tags each suspect ``(node,
-  resource)`` instead of today's link-only scores.
+  disk-slow inflates local fsync trace points but not peer RTTs, so the
+  disk feeder of the health signal (:mod:`repro.detector.signal`) lets
+  each suspect be tagged ``(node, resource)``, not just per link.
 * :mod:`repro.breaker.write_behind` — the mitigation itself: a WAL whose
   fsyncs can be diverted to an in-memory write-behind queue with bounded
   staleness while the disk is sick, acking immediately and draining
@@ -15,13 +15,7 @@ The :class:`~repro.detector.mitigation.MitigationController` wires them
 together (trip on disk suspicion, release after probation).
 """
 
-from repro.breaker.attribution import (
-    AttributionConfig,
-    DiskAttributor,
-    DiskTransition,
-    Suspect,
-    classify_suspects,
-)
+from repro.breaker.attribution import AttributionConfig, DiskAttributor
 from repro.breaker.write_behind import (
     BreakerConfig,
     BreakerState,
@@ -35,8 +29,5 @@ __all__ = [
     "BreakerState",
     "CircuitBreakerWal",
     "DiskAttributor",
-    "DiskTransition",
-    "Suspect",
-    "classify_suspects",
     "install_breaker_wals",
 ]

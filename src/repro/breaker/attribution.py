@@ -1,4 +1,4 @@
-"""Per-resource fault attribution over tracer trace points.
+"""Per-resource fault attribution: the disk feeder of the health signal.
 
 The link scorer (:mod:`repro.detector.scoring`) answers "which *peer*
 looks slow from here?" — but a suspect peer can be slow for two very
@@ -10,233 +10,90 @@ different reasons, and the right mitigation differs:
   latencies stay clean.
 
 :class:`DiskAttributor` is the disk half: a streaming per-node fsync
-latency EWMA compared against the healthiest *other* node's EWMA (the
+latency level compared against the healthiest *other* node's (the
 replicas of one group flush near-identical group commits, so cross-node
-comparison is meaningful), with the same windowed hysteresis discipline
-as the link scorer. :func:`classify_suspects` then merges both signals
-into ``(node, resource)`` tags, ``resource ∈ {"disk", "link:<caller>"}``:
-the disk verdict wins for a node whose own device is dragging (tripping
-its breaker fixes the cause; demoting it would only hide it), and link
-verdicts cover the rest.
-
-Pure arithmetic over the deterministic trace stream — replays are
-bit-identical.
+comparison is meaningful), under the same windowed hysteresis as the
+links. Joined with the link scorer in one
+:class:`~repro.detector.signal.HealthSignal`, ``suspects()`` tags each
+verdict ``(node, resource)`` and lets the disk win for a node whose own
+device is dragging (tripping its breaker fixes the cause; demoting it
+would only hide it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import defaultdict, deque
+from dataclasses import dataclass
+from typing import Deque, Dict, Optional
 
-from repro.detector.scoring import PeerHealth, SlownessScorer
+from repro.detector.signal import DISK, Feeder
 from repro.trace.tracepoints import Tracer
+
+# EWMA smoothing for fsync latency samples.
+FSYNC_ALPHA = 0.2
+# A node's disk is suspicious when its fsync level exceeds this multiple
+# of the healthiest other node's ...
+FSYNC_FACTOR = 3.0
 
 
 @dataclass
 class AttributionConfig:
-    # EWMA smoothing for fsync latency samples.
-    ewma_alpha: float = 0.2
-    # A node's disk is suspicious when its fsync EWMA exceeds this
-    # multiple of the healthiest other node's EWMA ...
-    fsync_factor: float = 3.0
     # ... and is above this absolute floor (a 0.2ms-vs-0.05ms ratio is
     # noise, not a fail-slow disk).
     abs_floor_ms: float = 2.0
     # Minimum fsync samples on a node before it can be judged.
     min_samples: int = 5
-    # Minimum judged *other* nodes for the cross-node baseline (the same
-    # single-peer degeneracy the link scorer guards against: with no
-    # healthy reference the ratio pins to 1).
-    min_baseline_nodes: int = 1
     # Hysteresis: consecutive suspicious windows to flag / healthy to clear.
     suspect_windows: int = 2
     clear_windows: int = 3
 
 
-class DiskScore:
-    """Streaming fsync statistics for one node."""
-
-    __slots__ = ("node", "fsync_ewma_ms", "samples", "last_sample_at")
-
-    def __init__(self, node: str):
-        self.node = node
-        self.fsync_ewma_ms: Optional[float] = None
-        self.samples = 0
-        self.last_sample_at: Optional[float] = None
-
-    def observe(self, latency_ms: float, now: float, alpha: float) -> None:
-        self.samples += 1
-        self.last_sample_at = now
-        if self.fsync_ewma_ms is None:
-            self.fsync_ewma_ms = latency_ms
-        else:
-            self.fsync_ewma_ms += alpha * (latency_ms - self.fsync_ewma_ms)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ewma = f"{self.fsync_ewma_ms:.2f}ms" if self.fsync_ewma_ms is not None else "-"
-        return f"<DiskScore {self.node} fsync~{ewma} n={self.samples}>"
-
-
-@dataclass
-class DiskTransition:
-    """One hysteresis edge: a node's disk crossed into/out of suspicion."""
-
-    node: str
-    state: PeerHealth
-    score: float
-    at: float
-
-
-@dataclass(frozen=True)
-class Suspect:
-    """One attributed verdict: which node, and which of its resources."""
-
-    node: str
-    resource: str  # "disk" | "link:<caller>"
-
-
-class DiskAttributor:
+class DiskAttributor(Feeder):
     """Live per-node disk scoring off the tracer's fsync trace points."""
 
+    factor = FSYNC_FACTOR
+
     def __init__(self, tracer: Tracer, config: Optional[AttributionConfig] = None):
-        self.config = config or AttributionConfig()
-        self.stats: Dict[str, DiskScore] = {}
-        self.windows_rolled = 0
-        self.transitions: List[DiskTransition] = []
-        self._state: Dict[str, PeerHealth] = {}
-        self._bad_streak: Dict[str, int] = {}
-        self._good_streak: Dict[str, int] = {}
+        super().__init__(tracer, config or AttributionConfig())
         # node -> issue times of fsyncs currently on the platter (FIFO:
         # one disk queue per node, completions come back in issue order).
-        self._inflight: Dict[str, List[float]] = {}
+        self._inflight: Dict[str, Deque[float]] = defaultdict(deque)
         self.censored_samples = 0
-        tracer.add_disk_listener(self._on_fsync)
-        tracer.add_fsync_begin_listener(self._on_fsync_begin)
-        tracer.add_fsync_abort_listener(self._on_fsync_abort)
 
-    def _stat(self, node: str) -> DiskScore:
-        stat = self.stats.get(node)
-        if stat is None:
-            stat = DiskScore(node)
-            self.stats[node] = stat
-        return stat
+    @property
+    def floor_ms(self) -> float:
+        return self.config.abs_floor_ms
 
-    def _on_fsync(self, node: str, n_bytes: int, latency_ms: float, now: float) -> None:
+    def on_fsync_begin(self, node: str, n_bytes: int, now: float) -> None:
+        self._inflight[node].append(now)
+
+    def on_fsync_complete(
+        self, node: str, n_bytes: int, latency_ms: float, now: float
+    ) -> None:
         queue = self._inflight.get(node)
         if queue:
-            queue.pop(0)
-        self._stat(node).observe(latency_ms, now, self.config.ewma_alpha)
+            queue.popleft()
+        self.level(node, DISK).observe(latency_ms, FSYNC_ALPHA)
 
-    def _on_fsync_begin(self, node: str, n_bytes: int, now: float) -> None:
-        self._inflight.setdefault(node, []).append(now)
-
-    def _on_fsync_abort(self, node: str, now: float) -> None:
+    def on_fsync_abort(self, node: str, now: float) -> None:
         # The node's WAL retired (crash): its in-flight fsyncs will never
         # complete, so their issue times must not age into suspicion.
         self._inflight.pop(node, None)
 
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-    def score(self, node: str) -> float:
-        """Instantaneous disk badness: >= 1.0 means suspicious right now."""
-        cfg = self.config
-        stat = self.stats.get(node)
-        if stat is None or stat.samples < cfg.min_samples or stat.fsync_ewma_ms is None:
-            return 0.0
-        if stat.fsync_ewma_ms < cfg.abs_floor_ms:
-            return 0.0
-        others = [
-            other.fsync_ewma_ms
-            for other_node, other in self.stats.items()
-            if other_node != node
-            and other.samples >= cfg.min_samples
-            and other.fsync_ewma_ms is not None
-        ]
-        if len(others) < cfg.min_baseline_nodes:
-            return 0.0
-        baseline = min(others)
-        if baseline <= 0:
-            return 0.0
-        return (stat.fsync_ewma_ms / baseline) / cfg.fsync_factor
-
-    def state(self, node: str) -> PeerHealth:
-        return self._state.get(node, PeerHealth.HEALTHY)
-
-    def suspects(self) -> List[str]:
-        return sorted(
-            node
-            for node, state in self._state.items()
-            if state == PeerHealth.SUSPECT
-        )
-
-    def roll_window(self, now: float) -> List[DiskTransition]:
-        """Close one check window: update hysteresis on every judged node."""
-        cfg = self.config
-        self.windows_rolled += 1
+    def fold(self, now: float) -> None:
         # Censored sampling: a stalled disk is precisely the one that
         # stops delivering completion latencies (its one group-commit
         # fsync just sits there), so detection would starve exactly when
         # it matters. The age of the oldest in-flight fsync is a lower
         # bound on its eventual latency — fold it in whenever it already
-        # exceeds what the EWMA believes. Healthy disks roll windows with
+        # exceeds what the level believes. Healthy disks roll windows with
         # young in-flight fsyncs and are never touched by this.
         for node in sorted(self._inflight):
             queue = self._inflight[node]
             if not queue:
                 continue
             age = now - queue[0]
-            stat = self._stat(node)
-            if age >= cfg.abs_floor_ms and (
-                stat.fsync_ewma_ms is None or age > stat.fsync_ewma_ms
-            ):
-                stat.observe(age, now, cfg.ewma_alpha)
+            level = self.level(node, DISK)
+            if age >= self.floor_ms and (level.ewma is None or age > level.ewma):
+                level.observe(age, FSYNC_ALPHA)
                 self.censored_samples += 1
-        edges: List[DiskTransition] = []
-        for node in sorted(self.stats):
-            value = self.score(node)
-            state = self._state.get(node, PeerHealth.HEALTHY)
-            if value >= 1.0:
-                self._bad_streak[node] = self._bad_streak.get(node, 0) + 1
-                self._good_streak[node] = 0
-            else:
-                self._good_streak[node] = self._good_streak.get(node, 0) + 1
-                self._bad_streak[node] = 0
-            if state == PeerHealth.HEALTHY:
-                if self._bad_streak.get(node, 0) >= cfg.suspect_windows:
-                    self._state[node] = PeerHealth.SUSPECT
-                    edges.append(DiskTransition(node, PeerHealth.SUSPECT, value, now))
-            else:
-                if self._good_streak.get(node, 0) >= cfg.clear_windows:
-                    self._state[node] = PeerHealth.HEALTHY
-                    edges.append(DiskTransition(node, PeerHealth.HEALTHY, value, now))
-        self.transitions.extend(edges)
-        return edges
-
-    def first_suspected_at(self) -> Optional[float]:
-        times = [
-            transition.at
-            for transition in self.transitions
-            if transition.state == PeerHealth.SUSPECT
-        ]
-        return min(times) if times else None
-
-
-def classify_suspects(
-    scorer: SlownessScorer, disks: DiskAttributor
-) -> List[Suspect]:
-    """Merge link and disk verdicts into per-resource suspect tags.
-
-    A node whose disk is flagged gets exactly one ``(node, "disk")`` tag —
-    its inflated RTT-from-callers symptoms (slow acks are slow replies)
-    are attributed to the disk, not the links. Link-SUSPECT verdicts on
-    nodes with healthy disks surface as ``(peer, "link:<caller>")``.
-    """
-    suspects: List[Suspect] = []
-    disk_suspects = set(disks.suspects())
-    for node in sorted(disk_suspects):
-        suspects.append(Suspect(node, "disk"))
-    for (caller, peer), state in sorted(scorer._state.items()):
-        if state == PeerHealth.SUSPECT and peer not in disk_suspects:
-            suspects.append(Suspect(peer, f"link:{caller}"))
-    return suspects

@@ -12,7 +12,16 @@ heartbeats, and the follower observes its own commit-index progress. A
 leader that is backed up but not committing is fail-slow; the detector
 then *suspects* it — suspected leaders no longer reset the follower's
 election timer, so an ordinary Raft election replaces them, demoting the
-fail-slow node to a (well-tolerated) follower.
+fail-slow node to a (well-tolerated) follower. It watches commit
+*progress*, not a latency level, so it keeps its own strike counter.
+
+Everything that judges a latency level shares one health signal
+(:mod:`repro.detector.signal`): verdicts keyed by ``(node, resource)``
+under one suspect/clear hysteresis, fed per link by
+:class:`SlownessScorer` and per disk by
+:class:`repro.breaker.DiskAttributor`. :class:`MitigationController`
+rolls that signal every window and acts on it;
+:func:`analyze_peer_slowness` is the offline counterpart.
 """
 
 from repro.detector.leader_detector import (
@@ -30,14 +39,12 @@ from repro.detector.peer_monitor import (
     PeerSlownessReport,
     analyze_peer_slowness,
 )
-from repro.detector.scoring import (
-    PeerHealth,
-    ScoringConfig,
-    SlownessScorer,
-)
+from repro.detector.scoring import ScoringConfig, SlownessScorer
+from repro.detector.signal import HealthSignal, PeerHealth, Suspect, Transition
 
 __all__ = [
     "DetectorConfig",
+    "HealthSignal",
     "LeaderSlownessDetector",
     "MitigationConfig",
     "MitigationController",
@@ -45,7 +52,9 @@ __all__ = [
     "PeerSlownessReport",
     "ScoringConfig",
     "SlownessScorer",
+    "Suspect",
     "Suspicion",
+    "Transition",
     "analyze_peer_slowness",
     "attach_detectors",
     "deploy_mitigation",

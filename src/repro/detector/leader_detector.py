@@ -8,24 +8,25 @@ from typing import Dict, Generator, List, Optional
 from repro.raft.node import RaftNode
 from repro.raft.types import Role
 
+CHECK_INTERVAL_MS = 500.0
+# Leader is "backed up" when it self-reports at least this many
+# pending client ops across consecutive checks.
+PENDING_THRESHOLD = 8
+# Consecutive suspicious checks before declaring the leader fail-slow.
+STRIKES_TO_SUSPECT = 2
+# Re-suspecting the *same* leader identity is rate-limited: after a
+# suspicion (or an explicit clear) this much virtual time must pass
+# before that node can be flagged again. Different leaders are not
+# rate-limited against each other — a flapping fault that chases
+# leadership around the group is caught every hop.
+RESUSPECT_COOLDOWN_MS = 5_000.0
+
 
 @dataclass
 class DetectorConfig:
-    check_interval_ms: float = 500.0
-    # Leader is "backed up" when it self-reports at least this many
-    # pending client ops across consecutive checks.
-    pending_threshold: int = 8
-    # ...while the follower's commit index advanced at less than this
-    # fraction of its best observed rate.
+    # The leader is crawling when the follower's commit index advanced
+    # at less than this fraction of its best observed rate.
     commit_rate_fraction: float = 0.3
-    # Consecutive suspicious checks before declaring the leader fail-slow.
-    strikes_to_suspect: int = 2
-    # Re-suspecting the *same* leader identity is rate-limited: after a
-    # suspicion (or an explicit clear) this much virtual time must pass
-    # before that node can be flagged again. Different leaders are not
-    # rate-limited against each other — a flapping fault that chases
-    # leadership around the group is caught every hop.
-    resuspect_cooldown_ms: float = 5_000.0
 
 
 @dataclass
@@ -42,7 +43,7 @@ class LeaderSlownessDetector:
 
     A healthy-but-busy leader reports pending load *and* commits fast, so
     it never accumulates strikes. A fail-slow leader reports a standing
-    queue while commits crawl — after ``strikes_to_suspect`` consecutive
+    queue while commits crawl — after ``STRIKES_TO_SUSPECT`` consecutive
     such windows the follower suspects it and stops honoring its
     heartbeats, letting a normal election demote it.
 
@@ -79,12 +80,11 @@ class LeaderSlownessDetector:
         raft = self.raft
         self._last_commit_index = raft.commit_index
         while not raft.rt.crashed:
-            yield raft.rt.sleep(self.config.check_interval_ms)
+            yield raft.rt.sleep(CHECK_INTERVAL_MS)
             self.observe_window(raft.rt.now)
 
     def observe_window(self, now: float) -> None:
         """Score one check window; factored out so tests can drive it."""
-        cfg = self.config
         raft = self.raft
         self.checks += 1
         # The commit baseline resets EVERY window — including windows we
@@ -106,23 +106,23 @@ class LeaderSlownessDetector:
             self._watched_leader = leader
             self._strikes = 0
             return
-        rate = delta / cfg.check_interval_ms
+        rate = delta / CHECK_INTERVAL_MS
         self._best_commit_rate = max(self._best_commit_rate, rate)
         # Judge the peak backlog reported over this window, not the
         # single latest heartbeat: the queue is bursty at heartbeat
         # granularity and the interesting depth rarely coincides with
         # the window edge.
-        leader_backed_up = raft.peak_leader_pending >= cfg.pending_threshold
+        leader_backed_up = raft.peak_leader_pending >= PENDING_THRESHOLD
         raft.peak_leader_pending = raft.last_leader_pending
         commits_crawling = (
             self._best_commit_rate > 0
-            and rate < cfg.commit_rate_fraction * self._best_commit_rate
+            and rate < self.config.commit_rate_fraction * self._best_commit_rate
         )
         if leader_backed_up and commits_crawling:
             self._strikes += 1
         else:
             self._strikes = 0
-        if self._strikes >= cfg.strikes_to_suspect and self._may_suspect(leader, now):
+        if self._strikes >= STRIKES_TO_SUSPECT and self._may_suspect(leader, now):
             self._suspect(leader, now)
 
     def _may_suspect(self, leader: str, now: float) -> bool:
@@ -134,7 +134,7 @@ class LeaderSlownessDetector:
         self.suspected = leader
         self.suspected_at = now
         self.suspicions.append(Suspicion(leader, self.raft.term, now))
-        self._cooldown_until[leader] = now + self.config.resuspect_cooldown_ms
+        self._cooldown_until[leader] = now + RESUSPECT_COOLDOWN_MS
         self._strikes = 0
         # Stop honoring this leader's heartbeats: the election timer will
         # fire and a normal Raft election replaces it.
@@ -152,10 +152,11 @@ class LeaderSlownessDetector:
         if now is not None:
             self._cooldown_until[node_id] = max(
                 self._cooldown_until.get(node_id, float("-inf")),
-                now + self.config.resuspect_cooldown_ms,
+                now + RESUSPECT_COOLDOWN_MS,
             )
         if self.suspected == node_id:
             self.suspected = None
+            self.suspected_at = None
 
 
 def attach_detectors(

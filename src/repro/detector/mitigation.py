@@ -9,8 +9,8 @@ actions over one Raft group:
   leader of being fail-slow, ask the healthiest voting follower (by
   link score) to campaign immediately (TimeoutNow), instead of waiting
   for election timeouts to expire naturally.
-* **Learner demotion** — a follower the scorer holds in SUSPECT for
-  ``demote_after_windows`` consecutive windows is demoted to a
+* **Learner demotion** — a follower whose link from the leader stays
+  SUSPECT for ``demote_after_windows`` consecutive windows is demoted to a
   non-voting learner through the replicated conf-change path: it keeps
   replicating (and keeps producing RTT samples) but can never sit on a
   quorum again. Crashed nodes are demoted the same way so a rebooted
@@ -21,8 +21,8 @@ actions over one Raft group:
   against it. A flapping node that turns slow again mid-probation has
   its counter reset — it stays a learner until it holds a full healthy
   streak.
-* **Disk circuit-breaking** — per-resource attribution
-  (:mod:`repro.breaker.attribution`) separates disk-slow from link-slow
+* **Disk circuit-breaking** — the health signal
+  (:mod:`repro.detector.signal`) separates disk-slow from link-slow
   suspects: a node whose *own fsync* trace points are inflated gets its
   write-behind WAL breaker tripped (:mod:`repro.breaker.write_behind`)
   instead of being demoted — acks come from memory while the sick disk
@@ -45,9 +45,18 @@ from repro.breaker.attribution import AttributionConfig, DiskAttributor
 from repro.breaker.write_behind import BreakerState, CircuitBreakerWal
 from repro.cluster.cluster import Cluster
 from repro.detector.leader_detector import LeaderSlownessDetector
-from repro.detector.scoring import PeerHealth, ScoringConfig, SlownessScorer
+from repro.detector.scoring import ScoringConfig, SlownessScorer
+from repro.detector.signal import DISK, HealthSignal, PeerHealth, Streak, Suspect, link
 from repro.raft.service import find_leader
 from repro.raft.types import CONF_DEMOTE, CONF_PROMOTE
+
+# Consecutive ticks a leader suspicion must stand (with the suspect
+# still leading) before the controller forces a transfer; the
+# detector's own heartbeat-ignore path usually wins the race.
+TRANSFER_GRACE_WINDOWS = 2
+# Windows a node's disk must stay SUSPECT before its breaker trips: the
+# signal's own hysteresis has already held the verdict back.
+TRIP_AFTER_WINDOWS = 1
 
 
 @dataclass
@@ -55,30 +64,15 @@ class MitigationConfig:
     # Scoring window cadence (virtual ms between controller ticks).
     window_ms: float = 500.0
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    # -- leadership transfer --------------------------------------------
-    enable_leadership_transfer: bool = True
-    # Consecutive ticks a leader suspicion must stand (with the suspect
-    # still leading) before the controller forces a transfer; the
-    # detector's own heartbeat-ignore path usually wins the race.
-    transfer_grace_windows: int = 2
-    # -- learner demotion -----------------------------------------------
-    enable_demotion: bool = True
-    # Windows a peer must stay in scorer-SUSPECT before demotion.
+    attribution: AttributionConfig = field(default_factory=AttributionConfig)
+    # Windows a peer's link must stay SUSPECT before demotion.
     demote_after_windows: int = 2
-    # Demote crashed voters so a rebooted replica rejoins via probation.
-    demote_crashed: bool = True
     # Never demote below this many voters (None = majority of the full
     # group, the smallest configuration that keeps the group's original
     # fault tolerance story meaningful).
     min_voters: Optional[int] = None
-    # -- probation -------------------------------------------------------
     # Consecutive healthy windows a demoted node needs to rejoin.
     probation_windows: int = 6
-    # -- disk circuit breaker -------------------------------------------
-    enable_breaker: bool = True
-    attribution: AttributionConfig = field(default_factory=AttributionConfig)
-    # Windows a node's disk must stay attributor-SUSPECT before the trip.
-    trip_after_windows: int = 1
     # Consecutive disk-healthy windows (probe fsyncs look clean) before a
     # tripped breaker is released back onto the real disk.
     breaker_probation_windows: int = 4
@@ -86,7 +80,7 @@ class MitigationConfig:
 
 class NodeStatus(enum.Enum):
     VOTER = "voter"
-    SUSPECT = "suspect"          # scorer flagged; counting toward demotion
+    SUSPECT = "suspect"          # link flagged; counting toward demotion
     DEMOTING = "demoting"        # demote proposed, not yet applied
     PROBATION = "probation"      # learner; counting healthy windows
     PROMOTING = "promoting"      # promote proposed, not yet applied
@@ -101,7 +95,7 @@ class MitigationAction:
 
 
 class MitigationController:
-    """Scores peers every window and enacts mitigations on one Raft group."""
+    """Rolls the health signal every window and enacts mitigations on one Raft group."""
 
     def __init__(
         self,
@@ -114,7 +108,11 @@ class MitigationController:
         self.raft_nodes = raft_nodes  # mutated in place by restarts
         self.detectors = list(detectors) if detectors else []
         self.config = config or MitigationConfig()
-        self.scorer = SlownessScorer(cluster.tracer, self.config.scoring)
+        # One table, rolled links first, then disks.
+        self.signal = HealthSignal(
+            SlownessScorer(cluster.tracer, self.config.scoring),
+            DiskAttributor(cluster.tracer, self.config.attribution),
+        )
         self.group = sorted(raft_nodes)
         if self.config.min_voters is None:
             self.min_voters = len(self.group) // 2 + 1
@@ -129,17 +127,14 @@ class MitigationController:
         self.promotions = 0
         self.breaker_trips = 0
         self.breaker_releases = 0
-        self.ticks = 0
-        self._suspect_windows: Dict[str, int] = {}
-        self._probation_streak: Dict[str, int] = {}
-        self._leader_suspect_windows = 0
-        self.disks: Optional[DiskAttributor] = (
-            DiskAttributor(cluster.tracer, self.config.attribution)
-            if self.config.enable_breaker
-            else None
-        )
-        self._disk_suspect_windows: Dict[str, int] = {}
-        self._disk_healthy_streak: Dict[str, int] = {}
+        # Consecutive windows toward each decision, per node: suspect
+        # windows before acting (demote / trip / transfer), healthy
+        # windows before undoing it (promote / release).
+        self._demote_run = Streak()
+        self._promote_run = Streak()
+        self._trip_run = Streak()
+        self._release_run = Streak()
+        self._transfer_run = Streak()
         self._started = False
         self._stopped = False
 
@@ -159,22 +154,14 @@ class MitigationController:
     # Introspection
     # ------------------------------------------------------------------
     def first_detection_at(self) -> Optional[float]:
-        """Earliest suspicion from any signal (detectors or scorer)."""
-        times: List[float] = [
+        """Earliest suspicion from any source (detectors or the signal)."""
+        times: List[Optional[float]] = [
             suspicion.at
             for detector in self.detectors
             for suspicion in detector.suspicions
         ]
-        times.extend(
-            transition.at
-            for transition in self.scorer.transitions
-            if transition.state == PeerHealth.SUSPECT
-        )
-        if self.disks is not None:
-            disk_first = self.disks.first_suspected_at()
-            if disk_first is not None:
-                times.append(disk_first)
-        return min(times) if times else None
+        times.append(self.signal.first_suspected_at())
+        return min((at for at in times if at is not None), default=None)
 
     def first_action_at(self, kinds: Optional[Tuple[str, ...]] = None) -> Optional[float]:
         times = [
@@ -191,39 +178,35 @@ class MitigationController:
         if self._stopped:
             return
         now = self.cluster.kernel.now
-        self.ticks += 1
-        transitions = self.scorer.roll_window(now)
-        if self.disks is not None:
-            self.disks.roll_window(now)
-            # Breaker decisions need no leader: the sick resource is
-            # local to the node, and so is the mitigation.
-            self._act_on_disks(now)
+        edges = self.signal.roll_window(now)
+        # Breaker decisions need no leader: the sick resource is
+        # local to the node, and so is the mitigation.
+        self._act_on_disks(now)
         leader = find_leader(self.raft_nodes)
         if leader is not None:
             self._act_on_leader(leader, now)
             self._act_on_followers(leader, now)
-            self._advance_probation(leader, now, transitions)
+            self._advance_probation(leader, now, edges)
         self.cluster.kernel.schedule(self.config.window_ms, self._tick)
 
     # -- leadership transfer --------------------------------------------
     def _act_on_leader(self, leader, now: float) -> None:
-        if not self.config.enable_leadership_transfer:
-            return
         suspected = any(
             detector.raft.suspected_leader == leader.id
             and not detector.raft.rt.crashed
             for detector in self.detectors
         )
+        # One run across leader identities: a suspicion that follows the
+        # leadership around still counts toward the grace period.
         if not suspected:
-            self._leader_suspect_windows = 0
+            self._transfer_run.reset("leader")
             return
-        self._leader_suspect_windows += 1
-        if self._leader_suspect_windows < self.config.transfer_grace_windows:
+        if self._transfer_run.hit("leader") < TRANSFER_GRACE_WINDOWS:
             return
         target = self._healthiest_voter(leader)
         if target is not None and leader.transfer_leadership(target):
             self.transfers += 1
-            self._leader_suspect_windows = 0
+            self._transfer_run.reset("leader")
             self.actions.append(
                 MitigationAction(now, "transfer", leader.id, f"-> {target}")
             )
@@ -237,37 +220,39 @@ class MitigationController:
         ]
         if not candidates:
             return None
-        return min(candidates, key=lambda peer: (self.scorer.score(leader.id, peer), peer))
+        scores = self.signal.scores(link(leader.id))
+        return min(candidates, key=lambda peer: (scores.get(peer, 0.0), peer))
 
     # -- follower demotion ----------------------------------------------
     def _act_on_followers(self, leader, now: float) -> None:
-        if not self.config.enable_demotion:
-            return
+        seen = link(leader.id)
+        suspects = self.signal.suspects()
         for peer in leader.voting_peers():
             status = self.status.get(peer, NodeStatus.VOTER)
             if status in (NodeStatus.PROBATION, NodeStatus.PROMOTING):
                 continue  # already out of the quorum
-            crashed = self.cluster.node(peer).crashed
-            slow = self.scorer.state(leader.id, peer) == PeerHealth.SUSPECT
-            if crashed and self.config.demote_crashed:
+            if self.cluster.node(peer).crashed:
+                # Crashed voters go too, so a rebooted replica rejoins
+                # the quorum only through probation.
                 self._propose_demote(leader, peer, now, "crashed")
                 continue
-            if slow and self._disk_attributed(peer):
-                # The symptom is link-shaped (slow acks) but the cause is
-                # the peer's disk: the breaker owns this one. Demoting
-                # would hide the slowness without fixing the ack path.
-                self._suspect_windows[peer] = 0
-                if status == NodeStatus.SUSPECT:
-                    self.status[peer] = NodeStatus.VOTER
-                continue
+            if self._breaker_wal(peer) is None:
+                # No breaker to hand a sick disk to: the link verdict
+                # stands whatever the disk looks like.
+                slow = self.signal.state(peer, seen) == PeerHealth.SUSPECT
+            else:
+                # suspects() blames the disk for the link-shaped symptom
+                # (slow acks) of a disk-suspect peer, and the breaker owns
+                # that one: demoting would hide the slowness without
+                # fixing the ack path.
+                slow = Suspect(peer, seen) in suspects
             if not slow:
-                self._suspect_windows[peer] = 0
+                self._demote_run.reset(peer)
                 if status == NodeStatus.SUSPECT:
                     self.status[peer] = NodeStatus.VOTER
                 continue
             self.status[peer] = NodeStatus.SUSPECT
-            self._suspect_windows[peer] = self._suspect_windows.get(peer, 0) + 1
-            if self._suspect_windows[peer] >= self.config.demote_after_windows:
+            if self._demote_run.hit(peer) >= self.config.demote_after_windows:
                 self._propose_demote(leader, peer, now, "fail-slow")
 
     def _propose_demote(self, leader, peer, now: float, why: str) -> None:
@@ -278,8 +263,8 @@ class MitigationController:
             return
         self.demotions += 1
         self.status[peer] = NodeStatus.DEMOTING
-        self._suspect_windows[peer] = 0
-        self._probation_streak[peer] = 0
+        self._demote_run.reset(peer)
+        self._promote_run.reset(peer)
         self.actions.append(MitigationAction(now, "demote", peer, why))
 
     # -- disk circuit breaker -------------------------------------------
@@ -292,85 +277,67 @@ class MitigationController:
         wal = self.cluster.node(node_id).wal
         return wal if isinstance(wal, CircuitBreakerWal) else None
 
-    def _disk_attributed(self, node_id: str) -> bool:
-        return (
-            self.disks is not None
-            and self.disks.state(node_id) == PeerHealth.SUSPECT
-            and self._breaker_wal(node_id) is not None
-        )
-
     def _act_on_disks(self, now: float) -> None:
         for node_id in self.group:
             wal = self._breaker_wal(node_id)
             if wal is None or self.cluster.node(node_id).crashed:
-                self._disk_suspect_windows[node_id] = 0
-                self._disk_healthy_streak[node_id] = 0
+                self._trip_run.reset(node_id)
+                self._release_run.reset(node_id)
                 continue
-            suspect = self.disks.state(node_id) == PeerHealth.SUSPECT
+            suspect = self.signal.state(node_id, DISK) == PeerHealth.SUSPECT
             if wal.state == BreakerState.CLOSED:
-                if suspect:
-                    windows = self._disk_suspect_windows.get(node_id, 0) + 1
-                    self._disk_suspect_windows[node_id] = windows
-                    if windows >= self.config.trip_after_windows:
-                        wal.trip(now)
-                        self.breaker_trips += 1
-                        self._disk_healthy_streak[node_id] = 0
-                        self.actions.append(
-                            MitigationAction(
-                                now, "breaker_trip", node_id, "disk fail-slow"
-                            )
-                        )
-                else:
-                    self._disk_suspect_windows[node_id] = 0
+                if not suspect:
+                    self._trip_run.reset(node_id)
+                elif self._trip_run.hit(node_id) >= TRIP_AFTER_WINDOWS:
+                    wal.trip(now)
+                    self.breaker_trips += 1
+                    self._release_run.reset(node_id)
+                    self.actions.append(
+                        MitigationAction(now, "breaker_trip", node_id, "disk fail-slow")
+                    )
             elif wal.state == BreakerState.OPEN:
                 # Probe fsyncs keep health samples flowing while tripped;
                 # release only after the disk looks clean long enough.
-                healthy = not suspect and self.disks.score(node_id) < 1.0
-                if healthy:
-                    streak = self._disk_healthy_streak.get(node_id, 0) + 1
-                    self._disk_healthy_streak[node_id] = streak
-                    if streak >= self.config.breaker_probation_windows:
-                        wal.release(now)
-                        self.breaker_releases += 1
-                        self._disk_suspect_windows[node_id] = 0
-                        self.actions.append(
-                            MitigationAction(
-                                now,
-                                "breaker_release",
-                                node_id,
-                                f"probation passed ({wal.queued_bytes}B queued)",
-                            )
+                if suspect or self.signal.score(node_id, DISK) >= 1.0:
+                    self._release_run.reset(node_id)
+                elif self._release_run.hit(node_id) >= self.config.breaker_probation_windows:
+                    wal.release(now)
+                    self.breaker_releases += 1
+                    self._trip_run.reset(node_id)
+                    self.actions.append(
+                        MitigationAction(
+                            now,
+                            "breaker_release",
+                            node_id,
+                            f"probation passed ({wal.queued_bytes}B queued)",
                         )
-                else:
-                    self._disk_healthy_streak[node_id] = 0
+                    )
 
     # -- probation and promotion ----------------------------------------
-    def _advance_probation(self, leader, now: float, transitions) -> None:
-        # A cleared scorer verdict also clears standing leader suspicion:
+    def _advance_probation(self, leader, now: float, edges) -> None:
+        # A cleared link verdict also clears standing leader suspicion:
         # a recovered ex-leader must be electable (and followable) again.
-        for transition in transitions:
-            if transition.state == PeerHealth.HEALTHY:
+        for edge in edges:
+            if edge.state == PeerHealth.HEALTHY and edge.resource != DISK:
                 for detector in self.detectors:
-                    detector.unsuspect(transition.peer, now)
+                    detector.unsuspect(edge.node, now)
+        seen = link(leader.id)
+        scores = self.signal.scores(seen)
         for node_id in self.group:
             status = self.status.get(node_id)
             if status == NodeStatus.DEMOTING:
                 if node_id not in leader.voting_members:
                     self.status[node_id] = NodeStatus.PROBATION
-                    self._probation_streak[node_id] = 0
+                    self._promote_run.reset(node_id)
             elif status == NodeStatus.PROBATION:
                 healthy = (
                     not self.cluster.node(node_id).crashed
-                    and self.scorer.state(leader.id, node_id) == PeerHealth.HEALTHY
-                    and self.scorer.score(leader.id, node_id) < 1.0
+                    and self.signal.state(node_id, seen) == PeerHealth.HEALTHY
+                    and scores.get(node_id, 0.0) < 1.0
                 )
-                if healthy:
-                    self._probation_streak[node_id] = (
-                        self._probation_streak.get(node_id, 0) + 1
-                    )
-                else:
-                    self._probation_streak[node_id] = 0
-                if self._probation_streak[node_id] >= self.config.probation_windows:
+                if not healthy:
+                    self._promote_run.reset(node_id)
+                elif self._promote_run.hit(node_id) >= self.config.probation_windows:
                     done = leader.propose_conf_change(CONF_PROMOTE, node_id)
                     if done is not None:
                         self.promotions += 1

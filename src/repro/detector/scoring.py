@@ -2,239 +2,76 @@
 
 The offline detectors (:mod:`repro.detector.peer_monitor`) post-process
 the tracer's RPC latency list; this module is the *online* counterpart:
-it subscribes to the tracer's streaming hooks and maintains, per
+the link feeder of the health signal (:mod:`repro.detector.signal`). It
+subscribes to the tracer's streaming hooks and maintains, per
 (caller, peer) link,
 
-* an **RTT EWMA** — exponentially-weighted round-trip latency, updated
-  on every reply (including quorum stragglers nobody waited on);
-* a **quorum-miss EWMA** — how often the peer fails to make the winning
+* an **RTT level** — exponentially-weighted round-trip latency, updated
+  on every reply (including quorum stragglers nobody waited on), scored
+  against the same caller's best other link;
+* a **quorum-miss level** — how often the peer fails to make the winning
   quorum of a round it was broadcast to (fed by the quorum-arrival rank
-  trace points reported when a QuorumEvent fires).
+  trace points reported when a QuorumEvent fires), scored against a
+  fixed threshold.
 
-Scores are rolled up into windowed health verdicts with **hysteresis**:
-a peer must look slow for ``suspect_windows`` consecutive windows to be
-flagged, and healthy again for ``clear_windows`` consecutive windows to
-be cleared — so jittery links don't flap the verdict, while flapping
-*faults* (slow/healthy/slow...) still re-flag on every slow phase.
-
-Everything here is pure arithmetic over the deterministic trace stream:
-two runs of the same seeded scenario produce bit-identical scores (the
-golden-trace determinism harness relies on this).
+A link's score is the worse of the two.
 """
 
 from __future__ import annotations
 
-import enum
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.detector.signal import Feeder, Level, link
 from repro.trace.tracepoints import QuorumArrival, Tracer
+
+# EWMA smoothing for RTT samples (higher = more reactive) ...
+RTT_ALPHA = 0.15
+# ... and for the per-round quorum-miss indicator.
+MISS_ALPHA = 0.1
+# A peer is suspicious when its RTT level exceeds this multiple of the
+# healthiest other peer's (same caller), ...
+RTT_FACTOR = 3.0
+# ...or when it misses the winning quorum in (practically) every
+# round. A 3-node group's two followers each naturally miss ~half of
+# their rounds, so the threshold sits far above any healthy baseline.
+MISS_RATE_THRESHOLD = 0.95
 
 
 @dataclass
 class ScoringConfig:
-    # EWMA smoothing for RTT samples (higher = more reactive).
-    ewma_alpha: float = 0.15
-    # EWMA smoothing for the per-round quorum-miss indicator.
-    miss_alpha: float = 0.1
-    # A peer is suspicious when its RTT EWMA exceeds this multiple of the
-    # healthiest peer's EWMA (same caller), ...
-    rtt_factor: float = 3.0
-    # ...or when it misses the winning quorum in (practically) every
-    # round. A 3-node group's two followers each naturally miss ~half of
-    # their rounds, so the threshold sits far above any healthy baseline.
-    miss_rate_threshold: float = 0.95
-    # Minimum RTT samples on a link before it can be judged at all.
+    # Minimum RTT samples on a link before it can be judged at all (and
+    # minimum rounds before its miss rate counts).
     min_samples: int = 8
-    # Minimum judged links a caller needs before relative RTT comparison
-    # means anything. With a single peer the "best link" baseline *is*
-    # the suspect link, so rtt/baseline pins to 1.0 and the component to
-    # 1/rtt_factor — a uniformly-slow sole peer could never be suspected
-    # (and the pinned value is noise either way). Below this floor the
-    # RTT component is 0: "cannot judge relatively"; the quorum-miss
-    # component still applies.
-    min_baseline_peers: int = 2
     # Hysteresis: consecutive suspicious windows to flag ...
     suspect_windows: int = 3
     # ... and consecutive healthy windows to clear.
     clear_windows: int = 4
 
 
-class PeerHealth(enum.Enum):
-    HEALTHY = "healthy"
-    SUSPECT = "suspect"
+class SlownessScorer(Feeder):
+    """Live per-link scoring: RPC replies and quorum-arrival ranks."""
 
-
-class LinkScore:
-    """Streaming statistics for one (caller, peer) link."""
-
-    __slots__ = ("caller", "peer", "rtt_ewma_ms", "samples", "miss_ewma", "rounds")
-
-    def __init__(self, caller: str, peer: str):
-        self.caller = caller
-        self.peer = peer
-        self.rtt_ewma_ms: Optional[float] = None
-        self.samples = 0
-        self.miss_ewma = 0.0
-        self.rounds = 0
-
-    def observe_rtt(self, latency_ms: float, alpha: float) -> None:
-        self.samples += 1
-        if self.rtt_ewma_ms is None:
-            self.rtt_ewma_ms = latency_ms
-        else:
-            updated = self.rtt_ewma_ms + alpha * (latency_ms - self.rtt_ewma_ms)
-            # In exact arithmetic the update is a convex combination, so it
-            # lies between the old EWMA and the new sample; float rounding
-            # can land one ulp outside that hull (e.g. alpha == 1.0 with a
-            # large magnitude drop). Clamp back so the invariant the rest
-            # of the detector relies on — EWMA within observed range —
-            # holds bit-for-bit.
-            lo = min(self.rtt_ewma_ms, latency_ms)
-            hi = max(self.rtt_ewma_ms, latency_ms)
-            self.rtt_ewma_ms = min(max(updated, lo), hi)
-
-    def observe_round(self, in_quorum: bool, alpha: float) -> None:
-        self.rounds += 1
-        miss = 0.0 if in_quorum else 1.0
-        self.miss_ewma += alpha * (miss - self.miss_ewma)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        rtt = f"{self.rtt_ewma_ms:.2f}ms" if self.rtt_ewma_ms is not None else "-"
-        return (
-            f"<LinkScore {self.caller}->{self.peer} rtt~{rtt} "
-            f"miss~{self.miss_ewma:.2f} n={self.samples}>"
-        )
-
-
-@dataclass
-class ScoreTransition:
-    """One hysteresis edge: a peer crossed into or out of suspicion."""
-
-    caller: str
-    peer: str
-    state: PeerHealth
-    score: float
-    at: float
-
-
-class SlownessScorer:
-    """Live per-link scoring; attach to a cluster tracer and roll windows.
-
-    ``roll_window(now)`` is driven externally (the mitigation controller
-    schedules it on the virtual clock) so the scorer itself stays a pure
-    function of the trace stream and the roll times.
-    """
+    factor = RTT_FACTOR
 
     def __init__(self, tracer: Tracer, config: Optional[ScoringConfig] = None):
-        self.config = config or ScoringConfig()
-        self.links: Dict[Tuple[str, str], LinkScore] = {}
-        self.windows_rolled = 0
-        self.transitions: List[ScoreTransition] = []
-        # (caller, peer) -> hysteresis state machine counters.
-        self._state: Dict[Tuple[str, str], PeerHealth] = {}
-        self._bad_streak: Dict[Tuple[str, str], int] = {}
-        self._good_streak: Dict[Tuple[str, str], int] = {}
-        tracer.add_rpc_listener(self._on_rpc)
-        tracer.add_quorum_listener(self._on_quorum)
+        super().__init__(tracer, config or ScoringConfig())
+        # (link(caller), peer) -> miss level; a link has missed nothing
+        # before its first round, so this one starts at 0.0.
+        self.misses: Dict[Tuple[str, str], Level] = defaultdict(lambda: Level(0.0))
 
-    # ------------------------------------------------------------------
-    # Streaming trace-point intake
-    # ------------------------------------------------------------------
-    def _on_rpc(
+    def on_rpc(
         self, node: str, peer: str, method: str, latency_ms: float, now: float
     ) -> None:
-        self._link(node, peer).observe_rtt(latency_ms, self.config.ewma_alpha)
+        self.level(peer, link(node)).observe(latency_ms, RTT_ALPHA)
 
-    def _on_quorum(self, arrival: QuorumArrival) -> None:
-        self._link(arrival.caller, arrival.peer).observe_round(
-            arrival.in_quorum, self.config.miss_alpha
-        )
+    def on_quorum(self, arrival: QuorumArrival) -> None:
+        miss = self.misses[link(arrival.caller), arrival.peer]
+        miss.observe(0.0 if arrival.in_quorum else 1.0, MISS_ALPHA)
 
-    def _link(self, caller: str, peer: str) -> LinkScore:
-        key = (caller, peer)
-        link = self.links.get(key)
-        if link is None:
-            link = LinkScore(caller, peer)
-            self.links[key] = link
-        return link
-
-    # ------------------------------------------------------------------
-    # Windowed scoring with hysteresis
-    # ------------------------------------------------------------------
-    def score(self, caller: str, peer: str) -> float:
-        """Instantaneous badness: >= 1.0 means suspicious right now.
-
-        The RTT component compares the link's EWMA against the best
-        (lowest) EWMA among the same caller's judged links; the rank
-        component compares quorum-miss frequency against the threshold.
-        """
-        cfg = self.config
-        link = self.links.get((caller, peer))
-        if link is None or link.samples < cfg.min_samples or link.rtt_ewma_ms is None:
+    def extra(self, node: str, resource: str) -> float:
+        miss = self.misses.get((resource, node))
+        if miss is None or miss.samples < self.config.min_samples:
             return 0.0
-        judged = [
-            other.rtt_ewma_ms
-            for (other_caller, _), other in self.links.items()
-            if other_caller == caller
-            and other.samples >= cfg.min_samples
-            and other.rtt_ewma_ms is not None
-        ]
-        rtt_component = 0.0
-        if len(judged) >= cfg.min_baseline_peers:
-            baseline = min(judged)
-            if baseline > 0:
-                rtt_component = (link.rtt_ewma_ms / baseline) / cfg.rtt_factor
-        rank_component = 0.0
-        if link.rounds >= cfg.min_samples:
-            rank_component = link.miss_ewma / cfg.miss_rate_threshold
-        return max(rtt_component, rank_component)
-
-    def scores_from(self, caller: str) -> Dict[str, float]:
-        """Current scores for every judged peer of one caller."""
-        return {
-            peer: self.score(caller, peer)
-            for (link_caller, peer) in sorted(self.links)
-            if link_caller == caller
-        }
-
-    def state(self, caller: str, peer: str) -> PeerHealth:
-        return self._state.get((caller, peer), PeerHealth.HEALTHY)
-
-    def suspects_of(self, caller: str) -> List[str]:
-        return sorted(
-            peer
-            for (link_caller, peer), state in self._state.items()
-            if link_caller == caller and state == PeerHealth.SUSPECT
-        )
-
-    def roll_window(self, now: float) -> List[ScoreTransition]:
-        """Close one check window: update hysteresis on every judged link.
-
-        Returns the transitions (suspect/clear edges) this window caused.
-        """
-        cfg = self.config
-        self.windows_rolled += 1
-        edges: List[ScoreTransition] = []
-        for key in sorted(self.links):
-            caller, peer = key
-            value = self.score(caller, peer)
-            state = self._state.get(key, PeerHealth.HEALTHY)
-            if value >= 1.0:
-                self._bad_streak[key] = self._bad_streak.get(key, 0) + 1
-                self._good_streak[key] = 0
-            else:
-                self._good_streak[key] = self._good_streak.get(key, 0) + 1
-                self._bad_streak[key] = 0
-            if state == PeerHealth.HEALTHY:
-                if self._bad_streak.get(key, 0) >= cfg.suspect_windows:
-                    self._state[key] = PeerHealth.SUSPECT
-                    edge = ScoreTransition(caller, peer, PeerHealth.SUSPECT, value, now)
-                    edges.append(edge)
-            else:
-                if self._good_streak.get(key, 0) >= cfg.clear_windows:
-                    self._state[key] = PeerHealth.HEALTHY
-                    edge = ScoreTransition(caller, peer, PeerHealth.HEALTHY, value, now)
-                    edges.append(edge)
-        self.transitions.extend(edges)
-        return edges
+        return miss.ewma / MISS_RATE_THRESHOLD

@@ -6,7 +6,7 @@ after the ~95th percentile of observed latency, bounding duplicate work
 at a few percent of requests. This module keeps one streaming
 :class:`repro.sim.metrics.P2Quantile` per ``(caller, peer)`` link, fed
 from the same tracer RPC trace points the fail-slow
-:class:`~repro.detect.scorer.SlownessScorer` consumes — no extra
+:class:`~repro.detector.scoring.SlownessScorer` consumes — no extra
 instrumentation, no sample buffers.
 """
 
@@ -57,10 +57,10 @@ class HedgeDelayEstimator:
     # ------------------------------------------------------------------
     def attach(self, tracer) -> "HedgeDelayEstimator":
         """Subscribe to a :class:`~repro.trace.tracepoints.Tracer`."""
-        tracer.add_rpc_listener(self.on_rpc_complete)
+        tracer.subscribe(self)
         return self
 
-    def on_rpc_complete(
+    def on_rpc(
         self, node: str, peer: str, method: str, latency_ms: float, now: float
     ) -> None:
         """Tracer RPC listener: fold one completed call into its link."""

@@ -253,25 +253,27 @@ class Tracer:
     # ------------------------------------------------------------------
     # Streaming subscriptions (online detectors)
     # ------------------------------------------------------------------
-    def add_rpc_listener(self, listener: Callable) -> None:
-        """``listener(node, peer, method, latency_ms, now)`` per RPC reply."""
-        self._rpc_listeners.append(listener)
+    def subscribe(self, sink) -> None:
+        """Stream trace points to whichever hooks ``sink`` defines.
 
-    def add_quorum_listener(self, listener: Callable) -> None:
-        """``listener(arrival: QuorumArrival)`` per quorum-round outcome."""
-        self._quorum_listeners.append(listener)
-
-    def add_disk_listener(self, listener: Callable) -> None:
-        """``listener(node, n_bytes, latency_ms, now)`` per completed fsync."""
-        self._disk_listeners.append(listener)
-
-    def add_fsync_begin_listener(self, listener: Callable) -> None:
-        """``listener(node, n_bytes, now)`` per issued fsync."""
-        self._fsync_begin_listeners.append(listener)
-
-    def add_fsync_abort_listener(self, listener: Callable) -> None:
-        """``listener(node, now)`` when a node's WAL retires mid-fsync."""
-        self._fsync_abort_listeners.append(listener)
+        ``on_rpc(node, peer, method, latency_ms, now)`` per RPC reply,
+        ``on_quorum(arrival: QuorumArrival)`` per quorum-round outcome,
+        ``on_fsync_begin(node, n_bytes, now)`` per issued fsync,
+        ``on_fsync_complete(node, n_bytes, latency_ms, now)`` per
+        completed one, ``on_fsync_abort(node, now)`` when a node's WAL
+        retires mid-fsync. Bound methods are resolved here, once, so the
+        emit paths stay a plain loop over one list.
+        """
+        for hook, listeners in (
+            ("on_rpc", self._rpc_listeners),
+            ("on_quorum", self._quorum_listeners),
+            ("on_fsync_begin", self._fsync_begin_listeners),
+            ("on_fsync_complete", self._disk_listeners),
+            ("on_fsync_abort", self._fsync_abort_listeners),
+        ):
+            listener = getattr(sink, hook, None)
+            if listener is not None:
+                listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Queries
@@ -281,6 +283,3 @@ class Tracer:
 
     def inter_node_waits(self) -> List[WaitRecord]:
         return [record for record in self.records if record.is_inter_node()]
-
-    def clear(self) -> None:
-        self.records.clear()

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.breaker.attribution import (
-    AttributionConfig,
-    DiskAttributor,
-    Suspect,
-    classify_suspects,
-)
+from repro.breaker.attribution import AttributionConfig, DiskAttributor
 from repro.breaker.write_behind import (
     BreakerConfig,
     BreakerState,
@@ -16,7 +11,8 @@ from repro.breaker.write_behind import (
 )
 from repro.cluster.cluster import Cluster
 from repro.detector.mitigation import MitigationConfig, MitigationController
-from repro.detector.scoring import PeerHealth, ScoringConfig, SlownessScorer
+from repro.detector.scoring import ScoringConfig, SlownessScorer
+from repro.detector.signal import DISK, HealthSignal, PeerHealth, Suspect
 from repro.raft.config import RaftConfig
 from repro.raft.service import deploy_depfast_raft, wait_for_leader
 from repro.runtime.io_helper import IoHelperPool
@@ -197,28 +193,28 @@ class TestDiskAttributor:
         feed_fsyncs(tracer, "s1", 1.0)
         feed_fsyncs(tracer, "s2", 1.0)
         feed_fsyncs(tracer, "s3", 30.0)
-        assert disks.score("s3") > 1.0
-        assert disks.score("s2") <= 1.0
+        assert disks.signal.score("s3", DISK) > 1.0
+        assert disks.signal.score("s2", DISK) <= 1.0
         disks.roll_window(500.0)
-        assert disks.state("s3") == PeerHealth.HEALTHY  # hysteresis holds
+        assert disks.signal.state("s3", DISK) == PeerHealth.HEALTHY  # hysteresis holds
         disks.roll_window(1000.0)
-        assert disks.state("s3") == PeerHealth.SUSPECT
-        assert disks.suspects() == ["s3"]
-        assert disks.first_suspected_at() == 1000.0
+        assert disks.signal.state("s3", DISK) == PeerHealth.SUSPECT
+        assert disks.signal.suspects() == [Suspect("s3", DISK)]
+        assert disks.signal.first_suspected_at() == 1000.0
 
     def test_single_node_never_judged(self):
         tracer, disks = self.attributor()
         feed_fsyncs(tracer, "s1", 500.0)  # huge, but nothing to compare against
-        assert disks.score("s1") == 0.0
+        assert disks.signal.score("s1", DISK) == 0.0
         disks.roll_window(500.0)
         disks.roll_window(1000.0)
-        assert disks.suspects() == []
+        assert disks.signal.suspects() == []
 
     def test_absolute_floor_filters_fast_disk_noise(self):
         tracer, disks = self.attributor(abs_floor_ms=2.0)
         feed_fsyncs(tracer, "s1", 0.05)
         feed_fsyncs(tracer, "s2", 0.5)  # 10x ratio, but absolutely tiny
-        assert disks.score("s2") == 0.0
+        assert disks.signal.score("s2", DISK) == 0.0
 
     def test_stalled_inflight_fsync_detected_without_completions(self):
         """A stalled disk delivers no completion samples at all — the
@@ -229,8 +225,8 @@ class TestDiskAttributor:
         for window in range(1, 4):
             disks.roll_window(window * 500.0)
         assert disks.censored_samples >= 3
-        assert disks.score("s3") > 1.0
-        assert disks.suspects() == ["s3"]
+        assert disks.signal.score("s3", DISK) > 1.0
+        assert disks.signal.suspects() == [Suspect("s3", DISK)]
         # The stall finally lands: the real latency replaces censored ages.
         tracer.on_fsync_complete("s3", 1 << 20, 2_000.0, 2_000.0)
         assert not disks._inflight["s3"]
@@ -242,7 +238,7 @@ class TestDiskAttributor:
         tracer.on_fsync_begin("s2", 4096, 499.0)  # 1ms old at the roll
         disks.roll_window(500.0)
         assert disks.censored_samples == 0
-        assert disks.suspects() == []
+        assert disks.signal.suspects() == []
 
     def test_abort_drops_stale_inflight_entries(self):
         """A crashed node's in-flight fsync never completes: without the
@@ -255,32 +251,34 @@ class TestDiskAttributor:
         for window in range(1, 8):
             disks.roll_window(window * 500.0)
         assert disks.censored_samples == 0
-        assert disks.suspects() == []
+        assert disks.signal.suspects() == []
 
     def test_recovered_disk_clears_after_healthy_streak(self):
         tracer, disks = self.attributor(suspect_windows=1, clear_windows=2)
         feed_fsyncs(tracer, "s1", 1.0)
         feed_fsyncs(tracer, "s2", 30.0)
         disks.roll_window(500.0)
-        assert disks.state("s2") == PeerHealth.SUSPECT
+        assert disks.signal.state("s2", DISK) == PeerHealth.SUSPECT
         feed_fsyncs(tracer, "s2", 1.0, n=60)  # EWMA decays back to baseline
-        assert disks.score("s2") < 1.0
+        assert disks.signal.score("s2", DISK) < 1.0
         disks.roll_window(1000.0)
-        assert disks.state("s2") == PeerHealth.SUSPECT  # not yet
+        assert disks.signal.state("s2", DISK) == PeerHealth.SUSPECT  # not yet
         disks.roll_window(1500.0)
-        assert disks.state("s2") == PeerHealth.HEALTHY
+        assert disks.signal.state("s2", DISK) == PeerHealth.HEALTHY
 
 
-class TestClassifySuspects:
+class TestSuspects:
+    """Link and disk feeders joined under one signal, as the controller does."""
+
     def build(self):
         kernel = Kernel()
         tracer = Tracer(kernel)
         scorer = SlownessScorer(tracer, ScoringConfig(min_samples=4, suspect_windows=1))
         disks = DiskAttributor(tracer, AttributionConfig(suspect_windows=1))
-        return tracer, scorer, disks
+        return tracer, HealthSignal(scorer, disks)
 
     def test_disk_verdict_wins_over_link_symptom(self):
-        tracer, scorer, disks = self.build()
+        tracer, signal = self.build()
         # s3's slow disk makes its *acks* slow: the link scorer sees it
         # too, but attribution must tag the disk, not the link.
         for _ in range(10):
@@ -289,21 +287,21 @@ class TestClassifySuspects:
         feed_fsyncs(tracer, "s1", 1.0)
         feed_fsyncs(tracer, "s2", 1.0)
         feed_fsyncs(tracer, "s3", 30.0)
-        scorer.roll_window(500.0)
-        disks.roll_window(500.0)
-        assert classify_suspects(scorer, disks) == [Suspect("s3", "disk")]
+        edges = signal.roll_window(500.0)
+        # Both keys of s3 flipped (links roll first) — one tag comes out.
+        assert [(e.node, e.resource) for e in edges] == [("s3", "link:s1"), ("s3", DISK)]
+        assert signal.suspects() == [Suspect("s3", "disk")]
 
     def test_link_suspect_with_healthy_disk_tagged_as_link(self):
-        tracer, scorer, disks = self.build()
+        tracer, signal = self.build()
         for _ in range(10):
             tracer.on_rpc_complete("s1", "s2", "append", 1.0, 0.0)
             tracer.on_rpc_complete("s1", "s3", "append", 20.0, 0.0)
         feed_fsyncs(tracer, "s1", 1.0)
         feed_fsyncs(tracer, "s2", 1.0)
         feed_fsyncs(tracer, "s3", 1.0)  # disk is fine; the link is not
-        scorer.roll_window(500.0)
-        disks.roll_window(500.0)
-        assert classify_suspects(scorer, disks) == [Suspect("s3", "link:s1")]
+        signal.roll_window(500.0)
+        assert signal.suspects() == [Suspect("s3", "link:s1")]
 
 
 @pytest.mark.slow

@@ -4,7 +4,11 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.detector import DetectorConfig, LeaderSlownessDetector
-from repro.detector.leader_detector import attach_detectors
+from repro.detector.leader_detector import (
+    RESUSPECT_COOLDOWN_MS,
+    STRIKES_TO_SUSPECT,
+    attach_detectors,
+)
 from repro.detector.peer_monitor import PeerLatencyProfile
 from repro.faults.chaos import Nemesis
 from repro.faults.injector import FaultInjector
@@ -167,12 +171,14 @@ class TestObserveWindow:
         self.crawl_until_suspected("s1")
         # Suppose mitigation cleared the suspicion (recovery probation).
         self.detector.unsuspect("s1", self.now)
+        # The verdict no longer stands, and neither does its time.
+        assert (self.detector.suspected, self.detector.suspected_at) == (None, None)
         # Still inside the cool-down: crawling windows must not re-flag.
         for _ in range(6):
             self.window(delta=2, pending=20)
         assert len(self.detector.suspicions) == 1
         # Past the cool-down the same leader is fair game again.
-        self.now += self.detector.config.resuspect_cooldown_ms
+        self.now += RESUSPECT_COOLDOWN_MS
         self.crawl_until_suspected("s1")
         assert len(self.detector.suspicions) == 2
 
@@ -221,6 +227,5 @@ class TestDetectorUnit:
             detector.start()
 
     def test_config_defaults_sane(self):
-        config = DetectorConfig()
-        assert config.strikes_to_suspect >= 1
-        assert 0 < config.commit_rate_fraction < 1
+        assert STRIKES_TO_SUSPECT >= 1
+        assert 0 < DetectorConfig().commit_rate_fraction < 1

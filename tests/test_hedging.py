@@ -48,9 +48,9 @@ class TestHedgeDelayEstimator:
     def test_warmup_returns_default(self):
         est = HedgeDelayEstimator(warmup_observations=5, default_delay_ms=30.0)
         for _ in range(4):
-            est.on_rpc_complete("a", "b", "m", 10.0, 0.0)
+            est.on_rpc("a", "b", "m", 10.0, 0.0)
         assert est.delay_ms("a", "b") == 30.0
-        est.on_rpc_complete("a", "b", "m", 10.0, 0.0)
+        est.on_rpc("a", "b", "m", 10.0, 0.0)
         assert est.delay_ms("a", "b") == pytest.approx(10.0)
 
     def test_unseen_link_returns_default(self):
@@ -64,15 +64,15 @@ class TestHedgeDelayEstimator:
             warmup_observations=5, min_delay_ms=2.0, max_delay_ms=40.0
         )
         for _ in range(6):
-            est.on_rpc_complete("a", "fast", "m", 0.1, 0.0)
-            est.on_rpc_complete("a", "slow", "m", 500.0, 0.0)
+            est.on_rpc("a", "fast", "m", 0.1, 0.0)
+            est.on_rpc("a", "slow", "m", 500.0, 0.0)
         assert est.delay_ms("a", "fast") == 2.0
         assert est.delay_ms("a", "slow") == 40.0
 
     def test_links_are_independent(self):
         est = HedgeDelayEstimator(warmup_observations=1)
-        est.on_rpc_complete("a", "b", "m", 5.0, 0.0)
-        est.on_rpc_complete("a", "c", "m", 50.0, 0.0)
+        est.on_rpc("a", "b", "m", 5.0, 0.0)
+        est.on_rpc("a", "c", "m", 50.0, 0.0)
         assert est.delay_ms("a", "b") == pytest.approx(5.0)
         assert est.delay_ms("a", "c") == pytest.approx(50.0)
 

@@ -8,7 +8,7 @@ from repro.detector.mitigation import (
     MitigationController,
     deploy_mitigation,
 )
-from repro.detector.scoring import PeerHealth
+from repro.detector.signal import PeerHealth
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
 from repro.raft.service import deploy_depfast_raft, find_leader, wait_for_leader
@@ -41,12 +41,16 @@ class TestController:
         cluster, raft, controller = deploy_loop(config=config)
         FaultInjector(cluster).inject_transient("s3", "cpu_slow", 2_000.0, 5_000.0)
         cluster.run(10_000.0)
-        # The scorer's RTT hysteresis flagged s3 and the controller moved
+        # The link's RTT hysteresis flagged s3 and the controller moved
         # it out of the quorum through the replicated conf change.
         assert controller.demotions >= 1
         demote_actions = [a for a in controller.actions if a.kind == "demote"]
         assert demote_actions and demote_actions[0].node == "s3"
         assert "s3" not in find_leader(raft).voting_members
+        # No breaker WALs here: the always-on disk feeder has nothing to
+        # trip, and it did not divert the link verdict from demotion.
+        assert not any(a.kind.startswith("breaker_") for a in controller.actions)
+        assert demote_actions[0].detail == "fail-slow"
         # The fault expired at t=7s; once the link looks healthy for the
         # full probation streak the node is promoted back to a voter.
         cluster.run(25_000.0)
@@ -83,8 +87,8 @@ class TestController:
         FaultInjector(cluster).inject_transient("s3", "cpu_slow", 2_000.0, 5_000.0)
         cluster.run(10_000.0)
         assert any(
-            t.peer == "s3" and t.state == PeerHealth.SUSPECT
-            for t in controller.scorer.transitions
+            t.node == "s3" and t.state == PeerHealth.SUSPECT
+            for t in controller.signal.transitions
         )
         assert controller.demotions == 0
         assert find_leader(raft).voting_members == set(GROUP)
