@@ -9,8 +9,7 @@ Analysis is whole-program by default: :func:`scan_paths` links every
 scanned module into one :class:`Program` call graph and runs the
 interprocedural event-shape fixpoint (:mod:`repro.analysis.interproc`)
 over it, so shapes, dedication and replica contexts flow through any
-number of call hops and across module boundaries. ``xfunc=False`` falls
-back to per-module analysis.
+number of call hops and across module boundaries.
 """
 
 from repro.analysis.baseline import (

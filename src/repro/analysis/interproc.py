@@ -399,21 +399,12 @@ class FunctionWalker:
 # ---------------------------------------------------------------------------
 
 
-def analyze(scans: Iterable["ModuleScan"], xfunc: bool = True) -> Program:
+def analyze(scans: Iterable["ModuleScan"]) -> Program:
     """Run the whole-program analysis over ``scans``; returns the call
     graph. Mutates the scans in place: wait sites, dedication, calling
     contexts, and interprocedural summaries all land on the
-    :class:`FunctionScan` s.
-
-    ``xfunc=False`` is the escape hatch: every module is analyzed as its
-    own one-file program (the PR 3 scope), so shapes never cross module
-    boundaries. The fixpoint itself still runs — helper returns within a
-    file keep resolving regardless of definition order."""
+    :class:`FunctionScan` s."""
     scans = list(scans)
-    if not xfunc and len(scans) > 1:
-        for scan in scans:
-            analyze([scan], xfunc=True)
-        return Program(scans)  # edges only; per-module facts already set
     program = Program(scans)
     tables = ShapeTables()
     by_path = {scan.path: scan for scan in scans}

@@ -43,8 +43,8 @@ class LintResult:
         return EXIT_FINDINGS if self.active(strict) else EXIT_CLEAN
 
 
-def run_lint(paths: Sequence[str], xfunc: bool = True) -> LintResult:
-    scans = scan_paths(paths, xfunc=xfunc)
+def run_lint(paths: Sequence[str]) -> LintResult:
+    scans = scan_paths(paths)
     return LintResult(scans=scans, findings=run_rules(scans))
 
 
@@ -144,7 +144,6 @@ def main(
     fmt: str = "text",
     strict: bool = False,
     root: Optional[str] = None,
-    xfunc: bool = True,
     baseline: Optional[str] = None,
     write_baseline: Optional[str] = None,
 ) -> int:
@@ -156,7 +155,7 @@ def main(
     )
 
     try:
-        result = run_lint(list(paths), xfunc=xfunc)
+        result = run_lint(list(paths))
     except ScanError as exc:
         print(f"depfast-lint: error: {exc}")
         return EXIT_USAGE

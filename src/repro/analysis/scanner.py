@@ -315,11 +315,10 @@ def scan_module(path: str) -> ModuleScan:
     return scan
 
 
-def scan_paths(paths: Iterable[str], xfunc: bool = True) -> List[ModuleScan]:
-    """Parse + analyze a file set as one whole program (the default), or
-    per-module with ``xfunc=False``."""
+def scan_paths(paths: Iterable[str]) -> List[ModuleScan]:
+    """Parse + analyze a file set as one whole program."""
     from repro.analysis.interproc import analyze
 
     scans = [parse_module(path) for path in collect_files(paths)]
-    analyze(scans, xfunc=xfunc)
+    analyze(scans)
     return scans

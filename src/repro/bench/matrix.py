@@ -143,7 +143,7 @@ def on_off_config(**timing: float) -> RaftConfig:
     return RaftConfig(
         client_commit_timeout_ms=1_000.0,
         # Keep the log compacted: these runs commit tens of thousands of
-        # entries and WAL bookkeeping is O(retained).
+        # entries.
         snapshot_threshold_entries=400,
         compaction_keep_entries=128,
         **timing,

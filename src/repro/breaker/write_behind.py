@@ -111,7 +111,7 @@ class CircuitBreakerWal(WriteAheadLog):
     # ------------------------------------------------------------------
     # Breaker control (driven by the mitigation controller)
     # ------------------------------------------------------------------
-    def trip(self, now: Optional[float] = None) -> None:
+    def trip(self) -> None:
         """Open the breaker: acknowledge from memory, trickle-drain.
 
         Acks parked behind fsyncs already in the device FIFO fire now —
@@ -130,7 +130,7 @@ class CircuitBreakerWal(WriteAheadLog):
         self._pending_acks.clear()
         self._arm_probe()
 
-    def release(self, now: Optional[float] = None) -> None:
+    def release(self) -> None:
         """Probation passed: fast-drain the queue, then close."""
         if self._retired or self.state != BreakerState.OPEN:
             return

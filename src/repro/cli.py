@@ -148,7 +148,6 @@ def _cmd_lint(args) -> int:
         args.paths,
         fmt=args.format,
         strict=args.strict,
-        xfunc=not args.no_xfunc,
         baseline=args.baseline,
         write_baseline=args.write_baseline,
     )
@@ -257,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="warnings also fail the run (exit 1)",
-    )
-    lint.add_argument(
-        "--no-xfunc",
-        action="store_true",
-        help="disable whole-program (cross-module) analysis: each module "
-        "is analyzed on its own, matching the pre-interprocedural linter",
     )
     lint.add_argument(
         "--baseline",

@@ -289,7 +289,7 @@ class MitigationController:
                 if not suspect:
                     self._trip_run.reset(node_id)
                 elif self._trip_run.hit(node_id) >= TRIP_AFTER_WINDOWS:
-                    wal.trip(now)
+                    wal.trip()
                     self.breaker_trips += 1
                     self._release_run.reset(node_id)
                     self.actions.append(
@@ -301,7 +301,7 @@ class MitigationController:
                 if suspect or self.signal.score(node_id, DISK) >= 1.0:
                     self._release_run.reset(node_id)
                 elif self._release_run.hit(node_id) >= self.config.breaker_probation_windows:
-                    wal.release(now)
+                    wal.release()
                     self.breaker_releases += 1
                     self._trip_run.reset(node_id)
                     self.actions.append(

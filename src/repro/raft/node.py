@@ -239,10 +239,10 @@ class RaftNode:
         """
         self.node.wal.append(entries_size(entries))
         self.durable.stage_entries(entries)
-        covered = self.durable.begin_sync()
+        token = self.durable.begin_sync()
         return self.node.wal.sync(
-            on_durable=lambda _covered=covered: (
-                None if self.node.crashed else self.durable.commit_sync(_covered)
+            on_durable=lambda: (
+                None if self.node.crashed else self.durable.commit_sync(token)
             )
         )
 

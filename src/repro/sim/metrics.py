@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class Counter:
@@ -81,81 +81,27 @@ class LatencyRecorder:
     to completions inside [window_start, window_end] so that only
     steady-state operations are reported.
 
-    Recording is O(1): exact count/sum/min/max are maintained as running
-    aggregates. ``sample_stride=n`` keeps only every n-th
-    raw sample (deterministically — no RNG involved), bounding memory for
-    long runs; count/mean/min/max stay exact over *all* recorded samples,
-    while percentiles (and any explicitly windowed statistics) are then
-    computed over the retained subsample. The default stride of 1 retains
-    everything and is bit-for-bit identical to the pre-sampling recorder.
-
-    Recording is *batched*: :meth:`record` only appends to a pending
-    buffer (one list append on the hot path — this recorder sits behind
-    per-RPC trace points), and the aggregate fold (count/sum/min/max,
-    stride retention) runs lazily at the first read. The fold preserves
-    arrival order, so every statistic is bit-for-bit identical to the
-    eager per-record update.
+    Every raw sample is retained, so :meth:`record` is one list append
+    (this recorder sits behind per-RPC trace points) and every statistic
+    is exact.
     """
 
-    def __init__(self, name: str = "", sample_stride: int = 1):
-        if sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    def __init__(self, name: str = ""):
         self.name = name
-        self._stride = sample_stride
-        self._pending: List[Tuple[float, float]] = []
         self._samples: List[Tuple[float, float]] = []
-        self._n = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = 0.0
-
-    @property
-    def sample_stride(self) -> int:
-        return self._stride
-
-    @sample_stride.setter
-    def sample_stride(self, stride: int) -> None:
-        if stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {stride}")
-        # Flush under the old stride first: already-recorded samples keep
-        # the retention pattern that was in force when they arrived.
-        self._flush()
-        self._stride = stride
 
     def record(self, completed_at: float, latency_ms: float) -> None:
         if latency_ms < 0:
             raise ValueError(f"negative latency {latency_ms}")
-        self._pending.append((completed_at, latency_ms))
-
-    def _flush(self) -> None:
-        """Fold the pending batch into the running aggregates, in order."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        n, total, minimum, maximum = self._n, self._sum, self._min, self._max
-        stride = self._stride
-        samples = self._samples
-        for item in pending:
-            latency = item[1]
-            n += 1
-            total += latency
-            if latency < minimum:
-                minimum = latency
-            if latency > maximum:
-                maximum = latency
-            if stride == 1 or n % stride == 1:
-                samples.append(item)
-        self._n, self._sum, self._min, self._max = n, total, minimum, maximum
+        self._samples.append((completed_at, latency_ms))
 
     def count(self) -> int:
-        """Exact number of recorded samples (including ones not retained)."""
-        self._flush()
-        return self._n
+        """Number of recorded samples."""
+        return len(self._samples)
 
     def in_window(
         self, window_start: float = 0.0, window_end: float = math.inf
     ) -> List[float]:
-        self._flush()
         return [
             latency
             for completed_at, latency in self._samples
@@ -175,7 +121,7 @@ class LatencyRecorder:
     def summary(
         self, window_start: float = 0.0, window_end: float = math.inf
     ) -> "LatencySummary":
-        values = self.in_window(window_start, window_end)  # flushes pending
+        values = self.in_window(window_start, window_end)
         if not values:
             return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
         ordered = sorted(values)
@@ -184,22 +130,12 @@ class LatencyRecorder:
             rank = max(1, math.ceil(p / 100.0 * len(ordered)))
             return ordered[rank - 1]
 
-        stride = self.sample_stride
-        full_window = window_start <= 0.0 and window_end == math.inf
-        if stride > 1 and full_window:
-            # Exact aggregates over everything recorded; only the
-            # percentiles come from the retained subsample.
-            count = self._n
-            minimum, maximum = self._min, self._max
-            mean = min(max(self._sum / self._n, minimum), maximum)
-        else:
-            count = len(ordered) if stride == 1 else len(ordered) * stride
-            minimum, maximum = ordered[0], ordered[-1]
-            # Clamp the mean into [min, max]: naive summation can land 1 ulp
-            # outside the sample range (e.g. three identical samples).
-            mean = min(max(math.fsum(ordered) / len(ordered), minimum), maximum)
+        minimum, maximum = ordered[0], ordered[-1]
+        # Clamp the mean into [min, max]: naive summation can land 1 ulp
+        # outside the sample range (e.g. three identical samples).
+        mean = min(max(math.fsum(ordered) / len(ordered), minimum), maximum)
         return LatencySummary(
-            count=count,
+            count=len(ordered),
             mean=mean,
             p50=pct(50),
             p99=pct(99),
@@ -323,27 +259,13 @@ class P2Quantile:
 
 
 class MetricsRegistry:
-    """Namespaced metric store; one per node plus one per experiment.
+    """Namespaced metric store; one per node plus one per experiment."""
 
-    ``latency_stride`` sets the default :class:`LatencyRecorder` sampling
-    stride for recorders created by this registry (1 = keep every raw
-    sample, the exact-percentile default the paper artifacts use).
-    """
-
-    def __init__(self, prefix: str = "", latency_stride: int = 1):
+    def __init__(self, prefix: str = ""):
         self.prefix = prefix
-        self.latency_stride = latency_stride
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._latencies: Dict[str, LatencyRecorder] = {}
-
-    def set_latency_stride(self, stride: int) -> None:
-        """Change the sampling stride for existing and future recorders."""
-        if stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {stride}")
-        self.latency_stride = stride
-        for recorder in self._latencies.values():
-            recorder.sample_stride = stride
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
@@ -357,9 +279,7 @@ class MetricsRegistry:
 
     def latency(self, name: str) -> LatencyRecorder:
         if name not in self._latencies:
-            self._latencies[name] = LatencyRecorder(
-                self._qualify(name), sample_stride=self.latency_stride
-            )
+            self._latencies[name] = LatencyRecorder(self._qualify(name))
         return self._latencies[name]
 
     def snapshot(self) -> Dict[str, float]:

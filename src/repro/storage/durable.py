@@ -8,21 +8,29 @@ held by whoever deploys the group and handed back to the replacement
 :class:`~repro.raft.node.RaftNode` on restart, which recovers by snapshot
 load + WAL replay.
 
-Durability discipline mirrors the WAL's group commit: entries are *staged*
-when the node appends them to the WAL buffer and become *durable* only
-when the fsync covering them completes (``begin_sync`` captures the
-covered suffix; ``commit_sync`` marks it). An entry staged but not yet
-synced at crash time is lost — exactly the window real Raft tolerates,
-because such entries were never acknowledged.
+Durability is a watermark over staging order, mirroring the WAL's group
+commit. Every entry written to the WAL buffer is *staged* under the next
+value of one monotone counter (which, like the rest of this object,
+outlives restarts). An fsync covers everything staged before it began, so
+``begin_sync`` returns the counter's current value — the *token* — and
+``commit_sync(token)`` raises the watermark to it when the fsync
+completes. An entry is durable iff its seq is at or below the watermark;
+one staged but not yet synced at crash time is lost — exactly the window
+real Raft tolerates, because such entries were never acknowledged.
 
-When two syncs overlap, the staged set an fsync captured can go stale: an
-entry re-staged (overwritten, or appended at a recycled index) after
-``begin_sync`` holds bytes the in-flight fsync never saw. ``begin_sync``
-therefore returns ``(index, staging_seq)`` pairs and ``commit_sync`` only
-marks an index durable if its staging sequence is unchanged — otherwise a
-crash between the two fsyncs would over-report what is on disk. Plain
-``int`` items are still accepted (marked unconditionally) for callers that
-serialize their syncs.
+``commit_sync`` takes the ``max`` because fsyncs overlap: a later capture
+covers a superset of every earlier one, so completions arriving out of
+order, never arriving (crash, a write-behind queue dropped on retire) or
+arriving after a restart can only move the watermark to a position some
+completed fsync really covered. An entry re-staged after ``begin_sync``
+(overwritten, or appended at a recycled index) holds bytes the in-flight
+fsync never saw; it carries a fresh seq above that fsync's token, so no
+side table is needed to keep a stale completion from over-reporting what
+is on disk.
+
+The Raft callers keep the retained indices one contiguous run starting at
+``snapshot_index + 1``; truncation, compaction and recovery rely on it to
+touch only the entries they remove.
 """
 
 from __future__ import annotations
@@ -43,15 +51,12 @@ class DurableRaftState:
         self.snapshot_index = 0
         self.snapshot_term = 0
         self.snapshot: Optional[dict] = None
-        # Log entries: index -> (entry, durable?). Entries are generic
+        # Log entries: index -> (entry, staging seq). Entries are generic
         # objects with .index/.term attributes to avoid an import cycle
         # with repro.raft.types.
-        self._entries: Dict[int, Tuple[Any, bool]] = {}
-        # index -> staging sequence number, bumped every time the slot is
-        # (re)staged; lets an overlapping fsync detect that its captured
-        # set went stale (see commit_sync).
-        self._staged_seq: Dict[int, int] = {}
-        self._seq = 0
+        self._entries: Dict[int, Tuple[Any, int]] = {}
+        self._seq = 0  # last staging sequence handed out
+        self._durable_seq = 0  # highest seq a completed fsync covered
         self.recoveries = 0
         self.lost_on_recovery = 0  # staged-but-unsynced entries dropped
 
@@ -74,43 +79,33 @@ class DurableRaftState:
         for entry in entries:
             existing = self._entries.get(entry.index)
             if existing is not None and existing[0].term != entry.term:
-                for index in [i for i in self._entries if i >= entry.index]:
-                    del self._entries[index]
-                    self._staged_seq.pop(index, None)
-            self._entries[entry.index] = (entry, False)
+                self._drop_from(entry.index)
             self._seq += 1
-            self._staged_seq[entry.index] = self._seq
+            self._entries[entry.index] = (entry, self._seq)
 
-    def begin_sync(self) -> List[Tuple[int, int]]:
-        """Snapshot the staged-entry set an fsync is about to cover.
+    def begin_sync(self) -> int:
+        """The token of an fsync about to start: it covers all staged so far.
 
-        Returns ``(index, staging_seq)`` pairs; pass them back verbatim to
-        :meth:`commit_sync` when the fsync completes.
+        Pass it back verbatim to :meth:`commit_sync` when the fsync
+        completes.
         """
-        return [
-            (index, self._staged_seq[index])
-            for index, (_e, durable) in self._entries.items()
-            if not durable
-        ]
+        return self._seq
 
-    def commit_sync(self, covered: List) -> None:
-        """The fsync completed: entries it covered are now durable.
+    def commit_sync(self, token: int) -> None:
+        """The fsync that took ``token`` completed: its prefix is durable.
 
-        ``(index, seq)`` items are marked only if the slot has not been
-        re-staged since ``begin_sync`` captured them — an entry written
-        after the fsync's snapshot holds bytes that flush never saw.
-        Plain ``int`` items are marked unconditionally.
+        Entries staged after ``begin_sync`` handed out the token carry a
+        larger seq and stay non-durable — that flush never saw them.
         """
-        for item in covered:
-            if isinstance(item, tuple):
-                index, seq = item
-                if self._staged_seq.get(index) != seq:
-                    continue
-            else:
-                index = item
-            entry = self._entries.get(index)
-            if entry is not None:
-                self._entries[index] = (entry[0], True)
+        self._durable_seq = max(self._durable_seq, token)
+
+    def _drop_from(self, index: int) -> int:
+        """Delete the retained run from ``index`` up; returns its length."""
+        first = index
+        while index in self._entries:
+            del self._entries[index]
+            index += 1
+        return index - first
 
     # ------------------------------------------------------------------
     # Snapshot + compaction
@@ -119,17 +114,16 @@ class DurableRaftState:
         """Persist a state-machine snapshot and drop covered log entries."""
         if last_index < self.snapshot_index:
             return  # stale
+        for index in range(self.snapshot_index + 1, last_index + 1):
+            if self._entries.pop(index, None) is None:
+                break  # the retained run ends below the new boundary
         self.snapshot_index = last_index
         self.snapshot_term = last_term
         self.snapshot = state
-        for index in [i for i in self._entries if i <= last_index]:
-            del self._entries[index]
-            self._staged_seq.pop(index, None)
 
     def clear_log(self) -> None:
         """Drop all log entries (an installed snapshot replaced them)."""
         self._entries.clear()
-        self._staged_seq.clear()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -144,24 +138,19 @@ class DurableRaftState:
         entries = []
         index = self.snapshot_index + 1
         while index in self._entries:
-            entry, durable = self._entries[index]
-            if not durable:
+            entry, seq = self._entries[index]
+            if seq > self._durable_seq:
                 break
             entries.append(entry)
             index += 1
-        self.lost_on_recovery += sum(
-            1 for i in self._entries if i >= index
-        )
-        for stale in [i for i in self._entries if i >= index]:
-            del self._entries[stale]
-            self._staged_seq.pop(stale, None)
+        self.lost_on_recovery += self._drop_from(index)
         return entries
 
     def has_state(self) -> bool:
         return bool(self._entries) or self.snapshot is not None or self.term > 0
 
     def durable_count(self) -> int:
-        return sum(1 for _e, durable in self._entries.values() if durable)
+        return sum(1 for _e, seq in self._entries.values() if seq <= self._durable_seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -125,9 +125,6 @@ class Tracer:
         # disk inflates them without touching any peer RTT, which is what
         # per-resource attribution keys on.
         self.fsync_latencies: List[Tuple[str, int, float, float]] = []
-        # Per-round quorum arrival outcomes (who made the quorum, who
-        # straggled) reported by quorum waiters at trigger time.
-        self.quorum_arrivals: List[QuorumArrival] = []
         self.spawned = 0
         self.finished = 0
         self._open_waits: Dict[int, Tuple[Event, float]] = {}
@@ -218,9 +215,10 @@ class Tracer:
         children that triggered acceptably get their 1-based arrival
         rank; RPC children still outstanding are stragglers the quorum
         did not wait for. Non-RPC children (e.g. the leader's local WAL
-        fsync) are skipped — ranks describe *peers*.
+        fsync) are skipped — ranks describe *peers*. Arrivals are only
+        streamed (``subscribe(sink).on_quorum``), never retained.
         """
-        if not self.enabled:
+        if not self.enabled or not self._quorum_listeners:
             return
         rpc_targets = [
             child for child in quorum_event.children if hasattr(child, "to_node")
@@ -246,7 +244,6 @@ class Tracer:
                 )
 
     def _record_arrival(self, arrival: QuorumArrival) -> None:
-        self.quorum_arrivals.append(arrival)
         for listener in self._quorum_listeners:
             listener(arrival)
 

@@ -143,9 +143,9 @@ class TestInterproceduralShapes:
         )
         whole = run_lint([str(tmp_path)])
         assert {f.rule_id for f in whole.findings} == {"DF001", "DF002"}
-        # --no-xfunc: each module on its own, the import is opaque, and
-        # the linter (which only flags what it resolved) stays silent.
-        solo = run_lint([str(tmp_path)], xfunc=False)
+        # node.py on its own: the import is opaque, and the linter (which
+        # only flags what it resolved) stays silent.
+        solo = run_lint([str(tmp_path / "node.py")])
         assert solo.findings == []
 
 

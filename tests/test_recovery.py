@@ -1,7 +1,7 @@
 """Crash–recovery: durable state, WAL replay, session dedup, injector fixes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
@@ -26,6 +26,107 @@ class _Entry:
         self.op = op
 
 
+class _PerEntryModel:
+    """Test oracle: the per-entry algorithm the watermark replaced.
+
+    A durable bit per retained entry, a table of staging sequences so an
+    overlapping fsync can tell its capture went stale, ``begin_sync``
+    capturing every non-durable ``(index, seq)`` and every removal
+    filtering all keys — no assumption about which indices are retained.
+    """
+
+    def __init__(self):
+        self.snapshot_index = 0
+        self.entries = {}  # index -> (entry, durable?)
+        self.staged_seq = {}
+        self.seq = 0
+        self.lost_on_recovery = 0
+
+    def _drop(self, doomed):
+        for index in [i for i in self.entries if doomed(i)]:
+            del self.entries[index]
+            del self.staged_seq[index]
+
+    def stage_entries(self, entries):
+        for entry in entries:
+            existing = self.entries.get(entry.index)
+            if existing is not None and existing[0].term != entry.term:
+                self._drop(lambda i: i >= entry.index)
+            self.entries[entry.index] = (entry, False)
+            self.seq += 1
+            self.staged_seq[entry.index] = self.seq
+
+    def begin_sync(self):
+        return [
+            (index, self.staged_seq[index])
+            for index, (_e, durable) in self.entries.items()
+            if not durable
+        ]
+
+    def commit_sync(self, covered):
+        for index, seq in covered:
+            if self.staged_seq.get(index) == seq:
+                self.entries[index] = (self.entries[index][0], True)
+
+    def save_snapshot(self, last_index, _last_term, _state):
+        if last_index < self.snapshot_index:
+            return
+        self.snapshot_index = last_index
+        self._drop(lambda i: i <= last_index)
+
+    def clear_log(self):
+        self._drop(lambda i: True)
+
+    def recovered_entries(self):
+        entries = []
+        index = self.snapshot_index + 1
+        while index in self.entries and self.entries[index][1]:
+            entries.append(self.entries[index][0])
+            index += 1
+        self.lost_on_recovery += sum(1 for i in self.entries if i >= index)
+        self._drop(lambda i: i >= index)
+        return entries
+
+    def durable_count(self):
+        return sum(1 for _e, durable in self.entries.values() if durable)
+
+
+_small = st.integers(min_value=0, max_value=6)
+# One step of a durable-store schedule; operands are reduced modulo what
+# the retained run allows, so every step is one a Raft caller could take.
+_append = st.tuples(st.just("append"), st.integers(min_value=1, max_value=4))
+_begin_sync = st.tuples(st.just("begin_sync"))
+_commit = st.tuples(st.just("commit"), _small)  # any pending fsync: out of order too
+_schedule_steps = st.lists(
+    st.one_of(
+        *[_append, _begin_sync, _commit] * 3,  # the common path, three times as likely
+        st.tuples(st.just("overwrite"), _small, st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("rewrite"), _small),  # same term: fresh bytes, same slot
+        st.tuples(st.just("drop"), _small),  # that fsync's callback never arrives
+        st.tuples(st.just("compact"), _small),
+        st.tuples(st.just("stale_snapshot"), _small),
+        st.tuples(st.just("install_snapshot"), _small),
+        st.tuples(st.just("recover")),
+    ),
+    max_size=40,
+)
+
+
+class _CountingDict(dict):
+    """Counts whole-store iterations (lookups and deletes by key are free)."""
+
+    full_iterations = 0
+
+    def _counted(name):
+        def method(self, *args):
+            self.full_iterations += 1
+            return getattr(dict, name)(self, *args)
+
+        return method
+
+    __iter__, keys, values, items = map(_counted, ("__iter__", "keys", "values", "items"))
+
+
 class TestDurableRaftState:
     def test_staged_entries_become_durable_only_after_sync(self):
         durable = DurableRaftState("s1")
@@ -39,8 +140,10 @@ class TestDurableRaftState:
 
     def test_unsynced_suffix_is_lost_on_recovery(self):
         durable = DurableRaftState("s1")
-        durable.stage_entries([_Entry(1, 1), _Entry(2, 1), _Entry(3, 1)])
-        durable.commit_sync([1])  # only entry 1 made it to disk
+        durable.stage_entries([_Entry(1, 1)])
+        covered = durable.begin_sync()
+        durable.stage_entries([_Entry(2, 1), _Entry(3, 1)])
+        durable.commit_sync(covered)  # only entry 1 made it to disk
         recovered = durable.recovered_entries()
         assert [e.index for e in recovered] == [1]
         assert durable.lost_on_recovery == 2
@@ -83,6 +186,102 @@ class TestDurableRaftState:
         assert [e.index for e in durable.recovered_entries()] == [4, 5]
         durable.save_snapshot(2, 1, {"data": {}, "applied": 2})  # stale: ignored
         assert durable.snapshot_index == 3
+
+    def test_later_sync_landing_alone_covers_the_earlier_capture(self):
+        """Overlapping fsyncs: the second completes, the first's callback
+        never arrives (or arrives late) — everything staged before the
+        second began is on disk either way."""
+        durable = DurableRaftState("s1")
+        durable.stage_entries([_Entry(1, 1), _Entry(2, 1)])
+        first = durable.begin_sync()
+        durable.stage_entries([_Entry(3, 1)])
+        second = durable.begin_sync()
+        durable.stage_entries([_Entry(4, 1)])  # after both cuts
+        durable.commit_sync(second)
+        assert durable.durable_count() == 3
+        durable.commit_sync(first)  # late and smaller: the watermark stays
+        assert durable.durable_count() == 3
+        assert [e.index for e in durable.recovered_entries()] == [1, 2, 3]
+        assert durable.lost_on_recovery == 1
+
+    @given(steps=_schedule_steps)
+    @example(  # a pre-crash fsync's callback fires after the restart
+        steps=[("append", 2), ("begin_sync",), ("recover",), ("append", 3)]
+        + [("commit", 0), ("recover",)]
+    )
+    @example(  # a slot overwritten while the fsync that saw its old bytes is in flight
+        steps=[("append", 3), ("begin_sync",), ("overwrite", 1, 2), ("commit", 0), ("recover",)]
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_watermark_agrees_with_per_entry_model(self, steps):
+        """Any interleaving of staging, overlapping fsyncs (landing in
+        order, out of order, never, or after a recovery), compaction and
+        recovery leaves the watermark and the per-entry oracle agreeing."""
+        durable, model = DurableRaftState("s1"), _PerEntryModel()
+        pending = []  # (token, model capture) of fsyncs still in flight
+        term = 1
+
+        def both(method, *args):
+            return getattr(durable, method)(*args), getattr(model, method)(*args)
+
+        for step in steps:
+            kind = step[0]
+            base = model.snapshot_index
+            last = max(model.entries, default=base)
+            if kind == "append":
+                both("stage_entries", [_Entry(last + 1 + i, term) for i in range(step[1])])
+            elif kind == "overwrite":
+                if last == base:
+                    continue
+                term += 1  # a new leader: conflicts with whatever is there
+                first = last - step[1] % (last - base)
+                both("stage_entries", [_Entry(first + i, term) for i in range(step[2])])
+            elif kind == "rewrite":
+                if last == base:
+                    continue
+                index = last - step[1] % (last - base)
+                both("stage_entries", [_Entry(index, model.entries[index][0].term)])
+            elif kind == "begin_sync":
+                pending.append(both("begin_sync"))
+            elif kind in ("commit", "drop"):
+                if not pending:
+                    continue
+                token, capture = pending.pop(step[1] % len(pending))
+                if kind == "commit":
+                    durable.commit_sync(token)
+                    model.commit_sync(capture)
+            elif kind == "compact":
+                both("save_snapshot", last - step[1] % (last - base + 1), term, {})
+            elif kind == "stale_snapshot":
+                both("save_snapshot", base - 1 - step[1], term, {})
+            elif kind == "install_snapshot":
+                both("clear_log")
+                both("save_snapshot", last + 1 + step[1], term, {})
+            else:
+                ours, theirs = both("recovered_entries")
+                assert [(e.index, e.term) for e in ours] == [
+                    (e.index, e.term) for e in theirs
+                ]
+            assert durable.durable_count() == model.durable_count()
+            assert durable.lost_on_recovery == model.lost_on_recovery
+            assert durable.snapshot_index == model.snapshot_index
+
+    def test_sync_path_never_walks_the_retained_log(self):
+        """Staging, the fsync token, its completion and compaction touch
+        only the entries they add or remove, however many are retained."""
+        durable = DurableRaftState("s1")
+        durable.stage_entries([_Entry(i, 1) for i in range(1, 5_001)])
+        durable.commit_sync(durable.begin_sync())
+        durable._entries = counting = _CountingDict(durable._entries)
+        for cycle in range(50):
+            first = 5_001 + 4 * cycle
+            durable.stage_entries([_Entry(first + i, 1) for i in range(4)])
+            durable.commit_sync(durable.begin_sync())
+        durable.stage_entries([_Entry(5_100, 2)])  # conflict: truncates 5_100..5_200
+        durable.save_snapshot(2_500, 1, {})
+        assert counting.full_iterations == 0
+        assert durable.durable_count() == 5_099 - 2_500
+        assert counting.full_iterations == 1  # the counter does see a walk
 
 
 class TestSessionDedup:
@@ -181,25 +380,30 @@ def _deploy(n=3, seed=7, **kwargs):
     return cluster, raft, group
 
 
+def _start_writer(cluster, group, n_ops=40):
+    """One client putting k0..k<n> in turn; returns the dict of acked writes."""
+    client_node = cluster.add_client("c1")
+    client_node.start()
+    client = KvServiceClient(client_node, group, session_id="c1#0")
+    acked = {}
+
+    def script():
+        for i in range(n_ops):
+            ok, _ = yield from client.execute(("put", f"k{i}", f"v{i}"), size_bytes=64)
+            if ok:
+                acked[f"k{i}"] = f"v{i}"
+
+    client_node.runtime.spawn(script())
+    return acked
+
+
 class TestCrashRecovery:
     def test_crash_during_inflight_commits_acked_writes_survive(self):
         """Kill the leader mid-stream; every acknowledged write must still
         be in every replica's state machine after reboot + convergence."""
         cluster, raft, group = _deploy(seed=11)
         wait_for_leader(cluster, raft)
-        client_node = cluster.add_client("c1")
-        client_node.start()
-        client = KvServiceClient(client_node, group, session_id="c1#0")
-        acked = {}
-
-        def script():
-            for i in range(40):
-                op = ("put", f"k{i}", f"v{i}")
-                ok, _ = yield from client.execute(op, size_bytes=64)
-                if ok:
-                    acked[f"k{i}"] = f"v{i}"
-
-        client_node.runtime.spawn(script())
+        acked = _start_writer(cluster, group)
         # Crash the leader while writes are in flight, reboot 2s later.
         cluster.kernel.schedule_at(
             2_500.0, lambda: cluster.node("s1").crash("test-kill")
@@ -220,6 +424,44 @@ class TestCrashRecovery:
                     f"{raft_node.id} lost acked write {key}"
                 )
             assert raft_node.kv.exactly_once_violations() == 0
+
+    @pytest.mark.parametrize("reboot_after_ms", [0.0, 2_000.0])
+    def test_crash_between_overlapping_fsyncs_keeps_what_landed(self, reboot_after_ms):
+        """A leader on a slow disk commits on its followers' acks, so its
+        own fsyncs pile up in flight. Crash it with some landed and some
+        not: replay holds exactly the bytes the WAL saw reach the platter.
+        Rebooting at once lets the orphaned fsyncs land *after* recovery,
+        where their stale callbacks must change nothing."""
+        from repro.raft.types import entries_size
+
+        cluster, raft, group = _deploy(seed=11)
+        wait_for_leader(cluster, raft)
+        machine = cluster.node("s1")
+        machine.disk.set_cap_fraction(0.001)  # ~20 ms per fsync, ~2 ms per commit
+        acked = _start_writer(cluster, group)
+        io = machine.runtime.io
+        landed_before = io.completed
+        while not (io.completed >= landed_before + 3 and io.inflight >= 2):
+            cluster.run(cluster.kernel.now + 1.0)
+        old = raft["s1"]
+        on_platter = machine.wal.durable_bytes
+        staged = old.log.last_index()
+        assert 0 < old.durable.durable_count() < staged
+        assert acked, "the slow local disk must not gate commits"
+
+        machine.crash("between overlapping fsyncs")
+        cluster.run(cluster.kernel.now + reboot_after_ms)
+        recovered = restart_raft_node(cluster, raft, "s1")
+        replayed = recovered.log.slice(1, recovered.log.last_index())
+        assert entries_size(replayed) == on_platter
+        assert recovered.durable.lost_on_recovery == staged - len(replayed) > 0
+        machine.disk.set_cap_fraction(1.0)
+        cluster.run(cluster.kernel.now + 40_000.0)
+        assert io.inflight == 0  # the orphaned fsyncs did land
+        for raft_node in raft.values():
+            for key, value in acked.items():
+                assert raft_node.kv.get(key) == value, f"{raft_node.id} lost {key}"
+        assert len({r.kv.stable_digest() for r in raft.values()}) == 1
 
     def test_restarted_follower_catches_up_via_replay_and_repair(self):
         cluster, raft, group = _deploy(seed=5)

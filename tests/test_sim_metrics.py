@@ -8,7 +8,6 @@ from repro.sim.metrics import (
     Counter,
     Gauge,
     LatencyRecorder,
-    LatencySummary,
     MetricsRegistry,
     P2Quantile,
     TimeWeightedValue,
@@ -105,62 +104,12 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             LatencyRecorder().percentile(101)
 
-
-class TestLatencySampling:
-    def test_stride_one_retains_everything(self):
+    def test_every_sample_is_retained(self):
         rec = LatencyRecorder()
         for i in range(100):
             rec.record(completed_at=float(i), latency_ms=float(i + 1))
         assert rec.count() == 100
         assert len(rec._samples) == 100
-
-    def test_stride_bounds_retained_samples(self):
-        rec = LatencyRecorder(sample_stride=10)
-        for i in range(1000):
-            rec.record(completed_at=float(i), latency_ms=float(i + 1))
-        assert rec.count() == 1000           # exact, sampling-independent
-        assert len(rec._samples) == 100      # every 10th retained
-
-    def test_sampled_aggregates_stay_exact(self):
-        rec = LatencyRecorder(sample_stride=7)
-        latencies = [float((i * 13) % 101) for i in range(500)]
-        for i, latency in enumerate(latencies):
-            rec.record(completed_at=float(i), latency_ms=latency)
-        s = rec.summary()
-        assert s.count == 500
-        assert s.mean == pytest.approx(sum(latencies) / len(latencies))
-        assert s.minimum == min(latencies)
-        assert s.maximum == max(latencies)
-
-    def test_sampled_percentiles_track_distribution(self):
-        import random
-
-        rng = random.Random(42)
-        rec = LatencyRecorder(sample_stride=10)
-        for i in range(10_000):
-            rec.record(completed_at=float(i), latency_ms=rng.uniform(0.0, 100.0))
-        # Uniform 0..100: sampled p50 must land near the true median.
-        assert abs(rec.summary().p50 - 50.0) <= 5.0
-
-    def test_sampling_is_deterministic(self):
-        def run():
-            rec = LatencyRecorder(sample_stride=3)
-            for i in range(100):
-                rec.record(completed_at=float(i), latency_ms=float(i))
-            return list(rec._samples)
-
-        assert run() == run()
-
-    def test_bad_stride_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder(sample_stride=0)
-
-    def test_registry_stride_applies_to_recorders(self):
-        reg = MetricsRegistry("n1", latency_stride=5)
-        assert reg.latency("put").sample_stride == 5
-        reg.set_latency_stride(2)
-        assert reg.latency("put").sample_stride == 2       # existing updated
-        assert reg.latency("get").sample_stride == 2       # new inherits
 
 
 class TestMetricsRegistry:
@@ -227,48 +176,3 @@ class TestP2Quantile:
             a.observe(x)
             b.observe(x)
         assert a.value() == b.value()
-
-
-class TestBatchedFlush:
-    """The hot-path contract: record() is one list append; the aggregate
-    fold runs lazily at the first read and is bit-identical to eager."""
-
-    def test_record_is_lazy_until_first_read(self):
-        rec = LatencyRecorder("rpc")
-        for i in range(10):
-            rec.record(float(i), 1.0 + i)
-        assert len(rec._pending) == 10  # nothing folded yet
-        assert rec.count() == 10  # first read folds...
-        assert rec._pending == []  # ...and drains the batch
-
-    def test_lazy_fold_matches_eager_reads(self):
-        rng = random.Random(5)
-        stream = [(float(i), rng.uniform(0.1, 50.0)) for i in range(500)]
-        eager, lazy = LatencyRecorder(sample_stride=3), LatencyRecorder(
-            sample_stride=3
-        )
-        for at, latency in stream:
-            eager.record(at, latency)
-            eager.count()  # force a per-record fold
-            lazy.record(at, latency)
-        lazy_summary, eager_summary = lazy.summary(), eager.summary()
-        for field in LatencySummary.__slots__:
-            assert getattr(lazy_summary, field) == getattr(eager_summary, field)
-        assert lazy.in_window() == eager.in_window()
-        for p in (50.0, 99.0, 99.9):
-            assert lazy.percentile(p) == eager.percentile(p)
-
-    def test_stride_change_flushes_under_old_stride(self):
-        rec = LatencyRecorder(sample_stride=1)
-        for i in range(6):
-            rec.record(float(i), float(i))
-        rec.sample_stride = 100  # must fold the first 6 with stride 1
-        for i in range(6, 12):
-            rec.record(float(i), float(i))
-        # The first 6 were folded with stride 1 (all retained); the later
-        # batch thins out under stride 100. Aggregates stay exact.
-        assert rec.count() == 12
-        retained = rec.in_window()
-        assert [0.0, 1.0, 2.0, 3.0, 4.0, 5.0] == retained[:6]
-        assert len(retained) < 12
-        assert rec.summary().mean == pytest.approx(sum(range(12)) / 12.0)
