@@ -98,22 +98,15 @@ def callee_ref(func: ast.AST) -> Optional[tuple]:
 class ShapeResolver:
     """Resolves expressions against an abstract environment.
 
-    ``return_shapes`` maps helper-function bare names (methods of the same
-    class or module functions) to the shape their ``return`` statement
-    resolves to, enabling ``rpc = self._helper(...)`` to see through one
-    call level. ``oracle`` is the interprocedural upgrade: an object with
+    ``oracle`` is the interprocedural part: an object with
     ``callee_return(call)`` / ``self_attr(attr)`` hooks backed by the
     whole-program fixpoint tables, letting shapes flow through any number
-    of call hops and through ``self.`` attributes.
+    of call hops (``rpc = self._helper(...)``) and through ``self.``
+    attributes. Without one, calls to helpers resolve to UNKNOWN.
     """
 
-    def __init__(
-        self,
-        return_shapes: Optional[Dict[str, EventShape]] = None,
-        oracle: Optional[object] = None,
-    ):
+    def __init__(self, oracle: Optional[object] = None):
         self.env: Dict[str, EventShape] = {}
-        self.return_shapes = return_shapes or {}
         self.oracle = oracle
 
     # ------------------------------------------------------------------
@@ -201,16 +194,11 @@ class ShapeResolver:
             return local_shape()
         # Interprocedural propagation: self._helper(...) or module_fn(...)
         # whose (fixpoint) return summary resolved to a shape. The oracle
-        # sees through any number of hops and across modules; the legacy
-        # ``return_shapes`` map keeps single-module one-hop behavior for
-        # callers that construct a resolver directly.
+        # sees through any number of hops and across modules.
         if self.oracle is not None:
             returned = self.oracle.callee_return(call)
             if returned is not None:
                 return returned
-        returned = self.return_shapes.get(name)
-        if returned is not None:
-            return returned.clone()
         return UNKNOWN
 
     def _resolve_wait(self, call: ast.Call) -> Resolved:

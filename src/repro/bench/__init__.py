@@ -21,8 +21,7 @@ Beyond the paper, four matrices and a chaos campaign share one harness:
   :mod:`repro.bench.breaker`, :mod:`repro.bench.fabric` — the rows: what
   each matrix schedules, counts, renders and accepts;
 * :mod:`repro.bench.chaos` — nemesis campaigns with safety verdicts;
-  :mod:`repro.bench.determinism` / :mod:`repro.bench.profile` — golden
-  trace hashes and the virtual-time profiler.
+  :mod:`repro.bench.determinism` — golden trace hashes.
 
 The ``benchmarks/`` directory wraps these in pytest-benchmark harnesses;
 :mod:`repro.bench.report` renders the same results as text tables.

@@ -91,13 +91,9 @@ class _TraceHasher:
         return self._hash.hexdigest()
 
 
-def _run_rsm_scenario(
-    scenario: str, seed: int, on_cluster: Callable[[Cluster], None] | None = None
-) -> TraceDigest:
+def _run_rsm_scenario(scenario: str, seed: int) -> TraceDigest:
     """Raft / Paxos / chain: short faulted YCSB run with a delivery probe."""
     cluster = Cluster(seed=seed)
-    if on_cluster is not None:
-        on_cluster(cluster)
     hasher = _TraceHasher()
     cluster.network.delivery_probe = hasher.on_delivery
     group = ["s1", "s2", "s3"]
@@ -151,19 +147,14 @@ def _run_rsm_scenario(
     )
 
 
-def _run_chaos_scenario(
-    scenario: str, seed: int, on_cluster: Callable[[Cluster], None] | None = None
-) -> TraceDigest:
+def _run_chaos_scenario(scenario: str, seed: int) -> TraceDigest:
     """One short seeded chaos schedule (crashes/partitions/loss/fail-slow)."""
     from repro.bench.chaos import ChaosParams, run_chaos_once
 
     hasher = _TraceHasher()
     final_time = {}
-    caller_hook = on_cluster
 
     def on_cluster(cluster: Cluster) -> None:
-        if caller_hook is not None:
-            caller_hook(cluster)
         cluster.network.delivery_probe = hasher.on_delivery
         final_time["cluster"] = cluster
 
@@ -199,9 +190,7 @@ def _run_chaos_scenario(
     )
 
 
-def _run_breaker_scenario(
-    scenario: str, seed: int, on_cluster: Callable[[Cluster], None] | None = None
-) -> TraceDigest:
+def _run_breaker_scenario(scenario: str, seed: int) -> TraceDigest:
     """Write-behind breaker path: trip, absorb, crash-while-tripped, restart.
 
     A follower's disk crawls for the whole run; the attribution loop trips
@@ -217,8 +206,6 @@ def _run_breaker_scenario(
     from repro.raft.service import deploy_depfast_raft, restart_raft_node
 
     cluster = Cluster(seed=seed)
-    if on_cluster is not None:
-        on_cluster(cluster)
     hasher = _TraceHasher()
     cluster.network.delivery_probe = hasher.on_delivery
     group = ["s1", "s2", "s3"]
@@ -271,9 +258,7 @@ def _run_breaker_scenario(
     )
 
 
-def _run_fabric_scenario(
-    scenario: str, seed: int, on_cluster: Callable[[Cluster], None] | None = None
-) -> TraceDigest:
+def _run_fabric_scenario(scenario: str, seed: int) -> TraceDigest:
     """Sharded fabric: 4 Raft groups striped over 5 shared nodes.
 
     Mixed traffic (single-key ops routed by hash, plus cross-shard 2PC
@@ -285,8 +270,6 @@ def _run_fabric_scenario(
     from repro.fabric import FabricLoadDriver, deploy_fabric
 
     cluster = Cluster(seed=seed)
-    if on_cluster is not None:
-        on_cluster(cluster)
     hasher = _TraceHasher()
     cluster.network.delivery_probe = hasher.on_delivery
 
@@ -337,20 +320,12 @@ SCENARIOS: Dict[str, Callable[..., TraceDigest]] = {
 }
 
 
-def run_traced(
-    scenario: str,
-    seed: int = DEFAULT_SEED,
-    on_cluster: Callable[[Cluster], None] | None = None,
-) -> TraceDigest:
-    """Run one named scenario with the trace probe installed.
-
-    ``on_cluster`` is called with the freshly-built cluster before the run
-    starts — the hook the virtual-time profiler uses to reach the kernel.
-    """
+def run_traced(scenario: str, seed: int = DEFAULT_SEED) -> TraceDigest:
+    """Run one named scenario with the trace probe installed."""
     runner = SCENARIOS.get(scenario)
     if runner is None:
         raise ValueError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}")
-    return runner(scenario, seed, on_cluster)
+    return runner(scenario, seed)
 
 
 def write_golden(path: pathlib.Path = GOLDEN_PATH) -> Dict[str, dict]:

@@ -13,7 +13,6 @@ Usage::
     python -m repro breaker [--smoke] [--seed N] [--faults disk_contention ...]
     python -m repro fabric [--smoke] [--seed N] [--faults cpu_slow ...]
     python -m repro lint [paths] [--format text|json] [--strict]
-    python -m repro profile <raft|hedged|paxos|chain|chaos|breaker|fabric|microbench>
 
 ``mitigate``, ``hedge``, ``breaker`` and ``fabric`` are the rows of
 :func:`repro.bench.matrix.matrices`: one parser stanza and one handler
@@ -31,7 +30,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench.determinism import SCENARIOS
 from repro.bench.experiments import ExperimentParams, SYSTEMS, run_rsm_experiment
 from repro.bench.matrix import matrices
 from repro.faults.catalog import fault_names
@@ -127,20 +125,6 @@ def _cmd_matrix(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_profile(args) -> int:
-    from repro.bench import profile as prof
-
-    if args.scenario == "microbench":
-        if args.check_baseline:
-            return prof.check_baseline(args.check_baseline)
-        rate = prof.microbench_events_per_sec()
-        print(f"kernel microbench: {rate:,.0f} events/sec")
-        return 0
-    report = prof.profile_scenario(args.scenario, seed=args.seed)
-    print(prof.render_profile(report))
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis.lint import main as lint_main
 
@@ -218,24 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwarg, text in row.flags:
             matrix.add_argument(flag, dest=kwarg, action="store_false", help=text)
         matrix.set_defaults(func=_cmd_matrix, matrix=row)
-
-    prof = sub.add_parser(
-        "profile", help="virtual-time profiler: events/wall-second per scenario"
-    )
-    prof.add_argument(
-        "scenario",
-        choices=(*SCENARIOS, "microbench"),
-        help="seeded scenario to profile, or the bare kernel microbench",
-    )
-    prof.add_argument("--seed", type=int, default=42)
-    prof.add_argument(
-        "--check-baseline",
-        metavar="BENCH_JSON",
-        default=None,
-        help="(microbench only) fail if events/sec regresses below "
-        "80%% of the committed BENCH_kernel.json baseline",
-    )
-    prof.set_defaults(func=_cmd_profile)
 
     lint = sub.add_parser(
         "lint", help="static fail-slow tolerance analysis (depfast-lint)"

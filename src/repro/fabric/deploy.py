@@ -180,17 +180,8 @@ def restart_fabric_node(fabric: Fabric, node_id: str) -> List[RaftNode]:
     node.restart()
     recovered: List[RaftNode] = []
     for group_id in fabric.groups_on(node_id):
-        old = fabric.groups[group_id][node_id]
-        factory = old.state_machine_factory
-        raft_node = RaftNode(
-            node,
-            old.group,
-            config=old.config,
-            rng=old.rng,  # continue the same seeded stream
-            state_machine=factory() if factory else None,
-            durable=old.durable,
-            state_machine_factory=factory,
-            endpoint=GroupEndpoint(node, group_id),
+        raft_node = fabric.groups[group_id][node_id].rebuild_on(
+            node, GroupEndpoint(node, group_id)
         )
         fabric.groups[group_id][node_id] = raft_node
         raft_node.start()

@@ -16,7 +16,6 @@ those events.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Dict, List
 
 from repro.txn.shard_map import ShardMap
@@ -32,14 +31,8 @@ class FabricShardMap(ShardMap):
 class HashShardMap(FabricShardMap):
     """SHA-256 hash partitioning over the sorted group names.
 
-    The digest prefix (not Python's ``hash()``, which is salted per
-    process) keeps routing identical across runs, file orders, and
-    interpreter restarts.
+    Routing is the inherited :meth:`ShardMap.shard_for`.
     """
-
-    def shard_for(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode()).digest()
-        return self._order[int.from_bytes(digest[:4], "big") % len(self._order)]
 
     def describe(self) -> str:
         return f"hash over {len(self._order)} groups"

@@ -28,7 +28,6 @@ Two insertions of the racing bet into DepFastRaft, both safety-neutral:
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -41,7 +40,6 @@ from repro.raft.node import RaftNode
 from repro.raft.service import depfast_node_spec
 from repro.raft.types import LogEntry, Role
 from repro.storage.durable import DurableRaftState
-from repro.storage.kvstore import KvStore
 
 
 class HedgedRaftNode(RaftNode):
@@ -49,25 +47,13 @@ class HedgedRaftNode(RaftNode):
 
     def __init__(
         self,
-        node: Node,
-        group: List[str],
-        config: Optional[RaftConfig] = None,
-        rng: Optional[random.Random] = None,
-        state_machine: Optional[KvStore] = None,
-        durable: Optional[DurableRaftState] = None,
-        state_machine_factory=None,
+        *raft_args,
         hedge_policy: Optional[HedgePolicy] = None,
         estimator: Optional[HedgeDelayEstimator] = None,
+        **raft_kwargs,
     ):
-        super().__init__(
-            node,
-            group,
-            config=config,
-            rng=rng,
-            state_machine=state_machine,
-            durable=durable,
-            state_machine_factory=state_machine_factory,
-        )
+        """Everything :class:`RaftNode` takes, plus the two hedging arguments."""
+        super().__init__(*raft_args, **raft_kwargs)
         self.hedge_policy = hedge_policy or HedgePolicy()
         self.estimator = estimator
         self._hedge_seq = 0
@@ -79,6 +65,12 @@ class HedgedRaftNode(RaftNode):
         self.probe_hedges = 0
         self.speculative_reads = 0
         self.speculation_rollbacks = 0
+
+    def rebuild_on(self, node: Node, endpoint=None) -> "HedgedRaftNode":
+        """Restart keeps the racing: same policy, same shared estimator."""
+        return super().rebuild_on(
+            node, endpoint, hedge_policy=self.hedge_policy, estimator=self.estimator
+        )
 
     # ==================================================================
     # Hedged AppendEntries fan-out

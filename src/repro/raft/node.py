@@ -201,6 +201,27 @@ class RaftNode:
         self.node.start()
         self.rt.spawn(self._main_loop(), name=f"{self.id}:raft-main")
 
+    def rebuild_on(self, node: Node, endpoint=None, **own) -> "RaftNode":
+        """A fresh replica of this one's class on its rebooted ``node``.
+
+        What survives a crash is handed over — the durable state (the
+        new replica recovers from it) and the seeded rng stream, so runs
+        stay reproducible; the state machine is built anew. Subclasses
+        extend this with their ``own`` constructor arguments.
+        """
+        factory = self.state_machine_factory
+        return type(self)(
+            node,
+            self.group,
+            config=self.config,
+            rng=self.rng,
+            state_machine=factory() if factory else None,
+            durable=self.durable,
+            state_machine_factory=factory,
+            endpoint=endpoint,
+            **own,
+        )
+
     def _recover_from_durable(self) -> None:
         """Crash recovery: snapshot load + WAL replay from stable storage.
 

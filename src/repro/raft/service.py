@@ -60,24 +60,14 @@ def restart_raft_node(
     """Bring a crashed group member back: reboot + recovery.
 
     The machine restarts (fresh process, reset connections), then a new
-    :class:`RaftNode` recovers from the old one's durable state —
+    replica of the old one's class recovers from its durable state —
     snapshot load + WAL replay, persisted term and vote. The entry in
     ``raft_nodes`` is replaced in place so callers holding the dict see
     the recovered node.
     """
-    old = raft_nodes[node_id]
     node = cluster.node(node_id)
     node.restart()
-    factory = old.state_machine_factory
-    recovered = RaftNode(
-        node,
-        old.group,
-        config=old.config,
-        rng=old.rng,  # continue the same seeded stream: runs stay reproducible
-        state_machine=factory() if factory else None,
-        durable=old.durable,
-        state_machine_factory=factory,
-    )
+    recovered = raft_nodes[node_id].rebuild_on(node)
     raft_nodes[node_id] = recovered
     recovered.start()
     return recovered

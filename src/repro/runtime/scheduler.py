@@ -10,7 +10,7 @@ coroutine spin.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.events.base import YIELD, Event, WaitDescriptor, WaitResult, as_wait
 from repro.runtime.coroutine import Coroutine, CoroutineState
@@ -47,7 +47,9 @@ class Scheduler:
         self.kernel = kernel
         self.node = node
         self.tracer = tracer
-        self.coroutines: List[Coroutine] = []
+        # Live coroutines only, by id in spawn order; an entry is dropped
+        # when its task finishes or fails.
+        self._live: Dict[int, Coroutine] = {}
         self.failures: List[Coroutine] = []
         # Called with the failed coroutine when a task raises; if unset the
         # exception propagates out of the kernel loop (loud by default).
@@ -73,7 +75,7 @@ class Scheduler:
         )
         coro.spawned_at = self.kernel.now
         coro.state = CoroutineState.RUNNABLE
-        self.coroutines.append(coro)
+        self._live[coro.coro_id] = coro
         if self.tracer is not None:
             self.tracer.on_spawn(coro, self.kernel.now)
         self.kernel.call_soon(self._step, coro, None)
@@ -85,11 +87,14 @@ class Scheduler:
     def stop(self) -> None:
         """Kill all live coroutines and refuse new spawns (node crash)."""
         self._stopped = True
-        for coro in self.coroutines:
+        # A task that crashed its own node is still executing here and may
+        # yet return through _finish, which must find the table emptied.
+        live, self._live = self._live, {}
+        for coro in live.values():
             coro.kill()
 
     def live_count(self) -> int:
-        return sum(1 for coro in self.coroutines if coro.alive())
+        return len(self._live)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -157,6 +162,7 @@ class Scheduler:
         self.kernel.call_soon(self._step, coro, result)
 
     def _finish(self, coro: Coroutine, result: Any) -> None:
+        self._live.pop(coro.coro_id, None)
         coro.state = CoroutineState.FINISHED
         coro.result = result
         coro.finished_at = self.kernel.now
@@ -164,6 +170,7 @@ class Scheduler:
             self.tracer.on_finish(coro, self.kernel.now)
 
     def _fail(self, coro: Coroutine, exc: BaseException) -> None:
+        self._live.pop(coro.coro_id, None)
         coro.state = CoroutineState.FAILED
         coro.exception = exc
         coro.finished_at = self.kernel.now

@@ -17,10 +17,7 @@ Queue design (the PR-5 hot-path overhaul, guarded by
 * cancellation stays **lazy** (a flag checked at pop time), but the kernel
   now tracks the live count, so :meth:`pending` is O(1) and the queue
   compacts itself when cancelled entries (mostly expired wait-timeout
-  timers) outnumber live ones — lazy deletion with a bounded footprint;
-* an optional profiler counts executed callbacks per owning module at a
-  cost of one branch per event when disabled (see ``python -m repro
-  profile``).
+  timers) outnumber live ones — lazy deletion with a bounded footprint.
 
 The execution order is exactly the classic ``(time, seq)`` heap order:
 within one timestamp bucket, append order *is* sequence order.
@@ -111,9 +108,6 @@ class Kernel:
         self._running = False
         self._stopped = False
         self._compact_pending = False
-        # Profiling: None when off (one branch per event); when on, a
-        # module-name -> executed-count dict.
-        self._profile: Optional[Dict[str, int]] = None
         self.events_executed = 0
 
     # ------------------------------------------------------------------
@@ -170,8 +164,6 @@ class Kernel:
         self._live -= 1
         self.events_executed += 1
         call.executed = True
-        if self._profile is not None:
-            self._profile_note(call)
         call.fn(*call.args)
         return True
 
@@ -230,23 +222,6 @@ class Kernel:
         self._stopped = True
 
     # ------------------------------------------------------------------
-    # Profiling
-    # ------------------------------------------------------------------
-    def enable_profile(self) -> None:
-        """Start counting executed callbacks per owning module."""
-        if self._profile is None:
-            self._profile = {}
-
-    def profile_counts(self) -> Dict[str, int]:
-        """Executed-callback counts per module since :meth:`enable_profile`."""
-        return dict(self._profile or {})
-
-    def _profile_note(self, call: ScheduledCall) -> None:
-        module = getattr(call.fn, "__module__", None) or "<unknown>"
-        profile = self._profile
-        profile[module] = profile.get(module, 0) + 1
-
-    # ------------------------------------------------------------------
     # Queue internals
     # ------------------------------------------------------------------
     def _enter_run(self) -> None:
@@ -271,7 +246,6 @@ class Kernel:
             if self._times and self._times[0] == due:
                 heapq.heappop(self._times)
             return
-        profile = self._profile
         popleft = bucket.popleft
         self.now = due
         # Batch the queue accounting: counters are reconciled once per
@@ -288,8 +262,6 @@ class Kernel:
                     continue
                 executed += 1
                 call.executed = True
-                if profile is not None:
-                    self._profile_note(call)
                 call.fn(*call.args)
         finally:
             self._size -= popped

@@ -23,6 +23,12 @@ class ShardMap:
         return list(self.shards[shard])
 
     def shard_for(self, key: str) -> str:
+        """The shard owning ``key``, by SHA-256 digest prefix.
+
+        Not Python's ``hash()``, which is salted per process: the digest
+        keeps routing identical across runs, file orders, and interpreter
+        restarts.
+        """
         digest = hashlib.sha256(key.encode()).digest()
         return self._order[int.from_bytes(digest[:4], "big") % len(self._order)]
 

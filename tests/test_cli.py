@@ -26,9 +26,11 @@ class TestParser:
         args = build_parser().parse_args(["breaker", "--smoke", "--no-chaos"])
         assert args.smoke and not args.include_chaos
 
-    @pytest.mark.parametrize("scenario", ["raft", "breaker", "fabric", "microbench"])
-    def test_profile_accepts_every_determinism_scenario(self, scenario):
-        assert build_parser().parse_args(["profile", scenario]).scenario == scenario
+    def test_profile_subcommand_is_gone(self):
+        # Host-time speed is measured from outside: benchmarks/perf/run.py.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["profile", "raft"])
+        assert exit_info.value.code == 2
 
 
 class TestCommands:

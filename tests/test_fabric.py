@@ -15,6 +15,7 @@ from repro.analysis.spgdiff import diff_spg
 from repro.analysis.static_spg import build_static_spg
 from repro.cluster.cluster import Cluster
 from repro.fabric.deploy import deploy_fabric, restart_fabric_node
+from repro.fabric.endpoint import GroupEndpoint
 from repro.fabric.router import FabricLoadDriver
 from repro.fabric.shardmap import even_split_points, padded_key
 
@@ -214,12 +215,17 @@ class TestRecovery:
         hosted = fabric.groups_on(victim)
         cluster.node(victim).crash()
         cluster.run(until_ms=cluster.kernel.now + 3000.0)
+        crashed = [fabric.groups[gid][victim] for gid in hosted]
         recovered = restart_fabric_node(fabric, victim)
-        # One fresh replica per hosted group, registered back in the map.
+        # One fresh replica per hosted group, registered back in the map,
+        # of the class it had, on its own group's view of the new endpoint.
         assert len(recovered) == len(hosted)
         assert [r.node.node_id for r in recovered] == [victim] * len(hosted)
-        for gid, raft_node in zip(hosted, recovered):
+        for gid, old, raft_node in zip(hosted, crashed, recovered):
             assert fabric.groups[gid][victim] is raft_node
+            assert raft_node is not old and type(raft_node) is type(old)
+            assert isinstance(raft_node.ep, GroupEndpoint)
+            assert raft_node.ep.group_id == gid
         fabric.wait_for_leaders(deadline_ms=cluster.kernel.now + 15_000.0)
         cluster.run(until_ms=cluster.kernel.now + 3000.0)
         # Nothing written before the crash was lost.

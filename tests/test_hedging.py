@@ -8,9 +8,10 @@ Covers the racing side of the fail-slow story end to end:
   abort-ack classification;
 * the server-side hedge hooks on ``RpcEndpoint._handle`` (dedup executes
   a group at most once; aborted groups answer with an abort-ack);
-* ``HedgedRaftNode``: speculative reads on a steady leader, and
+* ``HedgedRaftNode``: speculative reads on a steady leader,
   linearizability under a flapping fail-slow nemesis with client
-  sessions — hedged duplicates must not become double-applies.
+  sessions — hedged duplicates must not become double-applies — and a
+  crash + restart that brings the replica back still hedging.
 """
 
 import pytest
@@ -21,7 +22,7 @@ from repro.faults.chaos import Nemesis
 from repro.hedging import HedgeDelayEstimator, HedgedCall, HedgePolicy, deploy_hedged_raft
 from repro.net.rpc import HEDGE_ABORTED_REPLY, RpcError, is_hedge_abort_reply
 from repro.raft.config import RaftConfig
-from repro.raft.service import find_leader, wait_for_leader
+from repro.raft.service import find_leader, restart_raft_node, wait_for_leader
 from repro.trace.linearize import HistoryRecorder, check_linearizable
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.ycsb import YcsbWorkload
@@ -403,6 +404,40 @@ class TestHedgedRaft:
             for peer in group
         )
         assert deduped > 0
+
+    def test_restarted_replica_is_still_hedged(self):
+        cluster, raft, group = _deploy_hedged(
+            policy=HedgePolicy(default_delay_ms=10.0, max_delay_ms=30.0)
+        )
+        from repro.faults.injector import FaultInjector
+
+        before = raft["s3"]
+        cluster.node("s3").crash("test")
+        cluster.run(until_ms=cluster.kernel.now + 500.0)
+        after = restart_raft_node(cluster, raft, "s3")
+        assert type(after) is type(before)
+        assert after is raft["s3"] and after is not before
+        assert after.estimator is raft["s1"].estimator
+        assert after.hedge_policy is before.hedge_policy
+        # Make the restarted replica lead, then slow a follower's link:
+        # only a leader that kept its hedging races duplicate appends.
+        cluster.run(until_ms=cluster.kernel.now + 1_000.0)
+        assert find_leader(raft).transfer_leadership("s3")
+        cluster.run(until_ms=cluster.kernel.now + 1_000.0)
+        assert find_leader(raft) is after
+        FaultInjector(cluster).inject("s2", "network_slow")
+        workload = YcsbWorkload(
+            cluster.rng.stream("ycsb"),
+            record_count=200,
+            value_size=200,
+            update_fraction=1.0,
+        )
+        driver = ClosedLoopDriver(
+            cluster, group, workload, n_clients=8, think_time_ms=1.0
+        )
+        driver.start()
+        cluster.run(until_ms=cluster.kernel.now + 1_000.0)
+        assert after.append_hedges > 0
 
     @pytest.mark.slow
     def test_linearizable_under_flapping_fault_with_sessions(self):

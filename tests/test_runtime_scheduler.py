@@ -249,6 +249,29 @@ class TestFailuresAndCrash:
         rt.kernel.run_until_idle()
         assert resumed == []
 
+    def test_finished_coroutines_are_not_retained(self):
+        rt = make_runtime()
+        cleanup = []
+
+        def short():
+            yield rt.sleep(1.0)
+
+        def waiter():
+            try:
+                yield NeverEvent().wait()
+            finally:
+                cleanup.append("closed")
+
+        for _ in range(1_000):
+            rt.spawn(short())
+        parked = rt.spawn(waiter())
+        rt.kernel.run_until_idle()
+        assert list(rt.scheduler._live.values()) == [parked]
+        rt.scheduler.stop()
+        assert parked.state == CoroutineState.KILLED
+        assert cleanup == ["closed"]
+        assert rt.scheduler.live_count() == 0
+
 
 class TestAccounting:
     def test_wait_statistics_accumulate(self):

@@ -247,15 +247,38 @@ def test_events_executed_counts_only_live_events():
     assert kernel.events_executed == 2
 
 
-def test_profile_counts_by_module():
+def test_heap_holds_distinct_timestamps_not_events():
+    """Timing-free guard against a return to one heap entry per event.
+
+    The shape the deleted events/sec gate timed: 20 000 callbacks over 97
+    distinct due-times. A per-event heap holds 20 000 entries here.
+    """
     kernel = Kernel()
-    kernel.enable_profile()
-    kernel.schedule(1.0, lambda: None)
-    kernel.schedule(2.0, lambda: None)
+    for i in range(20_000):
+        kernel.schedule(float(i % 97), lambda: None)
+    assert len(kernel._times) == 97
+    assert kernel.pending() == 20_000
     kernel.run_until_idle()
-    counts = kernel.profile_counts()
-    assert sum(counts.values()) == 2
-    assert all(isinstance(module, str) for module in counts)
+    assert kernel.events_executed == 20_000
+    assert kernel._times == []
+
+
+def test_call_soon_cascade_adds_no_heap_entries():
+    """Same-time work joins the bucket being drained, not the heap."""
+    kernel = Kernel()
+    added = []
+
+    def burst():
+        before = len(kernel._times)
+        for _ in range(1_000):
+            kernel.call_soon(lambda: None)
+        added.append(len(kernel._times) - before)
+
+    kernel.schedule(5.0, burst)
+    kernel.schedule(9.0, lambda: None)
+    kernel.run(until_ms=5.0)
+    assert added == [0]
+    assert kernel.events_executed == 1_001
 
 
 def test_cancel_after_execution_is_a_noop():
