@@ -40,7 +40,11 @@ class WaitDescriptor:
 
 
 class WaitResult:
-    """What a coroutine receives back when it resumes from a wait."""
+    """What a coroutine receives back when it resumes from a wait.
+
+    The scheduler hands over its own per-wait object (a subclass), so
+    rely on these attributes and :attr:`ready` only.
+    """
 
     __slots__ = ("event", "timed_out", "waited_ms")
 
@@ -106,11 +110,16 @@ class Event:
             return
         self._triggered = True
         self.triggered_at = now
-        parents = list(self._parents)
+        # Waiters are detached and parents copied before anyone is told, so
+        # a callback that (un)subscribes or re-parents cannot disturb this
+        # round; most events have no parent and at most one waiter, so an
+        # empty list is neither copied nor replaced.
         waiters = self._waiters
-        self._waiters = []
-        for parent in parents:
-            parent.child_triggered(self)
+        if waiters:
+            self._waiters = []
+        if self._parents:
+            for parent in list(self._parents):
+                parent.child_triggered(self)
         for notify in waiters:
             notify(self)
 

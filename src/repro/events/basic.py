@@ -143,12 +143,25 @@ class RpcEvent(Event):
         return self.triggered_at - self.issued_at
 
 
-class DiskEvent(Event):
+class _ResourceEvent(Event):
+    """Completion of one job on a FIFO resource; subclasses submit it."""
+
+    __slots__ = ("_job", "_kernel")
+
+    def _done(self) -> None:
+        self.trigger(self._kernel.now)
+
+    def cancel(self) -> None:
+        """Abandon the job (e.g. the issuing node crashed)."""
+        self._job.cancel()
+
+
+class DiskEvent(_ResourceEvent):
     """Completion of one disk operation (write/read/fsync)."""
 
     kind = "disk"
 
-    __slots__ = ("op", "n_bytes", "_job")
+    __slots__ = ("op", "n_bytes")
 
     def __init__(
         self,
@@ -163,16 +176,11 @@ class DiskEvent(Event):
             raise EventError(f"negative I/O size {n_bytes}")
         self.op = op
         self.n_bytes = n_bytes
-        self._job = disk.submit(
-            float(n_bytes), on_done=lambda: self.trigger(disk.kernel.now), label=op
-        )
-
-    def cancel(self) -> None:
-        """Abandon the I/O (e.g. the issuing node crashed)."""
-        self._job.cancel()
+        self._kernel = disk.kernel
+        self._job = disk.submit(float(n_bytes), self._done, op)
 
 
-class CpuEvent(Event):
+class CpuEvent(_ResourceEvent):
     """Completion of a slice of CPU work submitted to a node's CPU queue.
 
     This is how handler compute cost is modelled: a coroutine that does
@@ -182,7 +190,7 @@ class CpuEvent(Event):
 
     kind = "cpu"
 
-    __slots__ = ("cost_ms", "_job")
+    __slots__ = ("cost_ms",)
 
     def __init__(
         self,
@@ -195,12 +203,8 @@ class CpuEvent(Event):
         if cost_ms < 0:
             raise EventError(f"negative CPU cost {cost_ms}")
         self.cost_ms = cost_ms
-        self._job = cpu.submit(
-            cost_ms, on_done=lambda: self.trigger(cpu.kernel.now), label=name
-        )
-
-    def cancel(self) -> None:
-        self._job.cancel()
+        self._kernel = cpu.kernel
+        self._job = cpu.submit(cost_ms, self._done, name)
 
 
 class NeverEvent(Event):

@@ -16,31 +16,73 @@ from repro.events.base import YIELD, Event, WaitDescriptor, WaitResult, as_wait
 from repro.runtime.coroutine import Coroutine, CoroutineState
 from repro.sim.kernel import Kernel, ScheduledCall
 
+_RUNNABLE = CoroutineState.RUNNABLE
+_WAITING = CoroutineState.WAITING
+
 
 class SchedulerError(RuntimeError):
     """Raised on scheduler protocol violations."""
 
 
-class _PendingWait:
-    """Bookkeeping for one suspended coroutine: event + optional timeout."""
+class _PendingWait(WaitResult):
+    """One parked coroutine — and the result it receives when it resumes.
 
-    __slots__ = ("coro", "event", "timer", "active", "started_at")
+    The only object a wait allocates: it subscribes its own bound methods
+    to the event and the timeout timer, fills in ``timed_out`` and
+    ``waited_ms`` at resume time and is sent into the generator as is.
+    """
 
-    def __init__(self, coro: Coroutine, event: Event, started_at: float):
-        self.coro = coro
+    __slots__ = ("scheduler", "coro", "timer", "active", "started_at")
+
+    def __init__(self, scheduler: "Scheduler", coro: Coroutine, event: Event, started_at: float):
+        # WaitResult's three fields are set here rather than through its
+        # constructor: this runs once per wait.
         self.event = event
+        self.timed_out = False
+        self.waited_ms = 0.0
+        self.scheduler = scheduler
+        self.coro = coro
         self.timer: Optional[ScheduledCall] = None
         self.active = True
         self.started_at = started_at
+
+    def on_trigger(self, _event: Event) -> None:
+        """The event fired (or :meth:`on_timeout` gave up on it): resume.
+
+        The resume is always a ``call_soon`` hop, never an inline step:
+        whatever triggered the event finishes first and same-instant work
+        keeps its ``(time, seq)`` order.
+        """
+        if not self.active:
+            return
+        self.active = False
+        if self.timer is not None:
+            self.timer.cancel()  # a no-op when the timer is what fired
+        scheduler, coro = self.scheduler, self.coro
+        kernel = scheduler.kernel
+        now = kernel.now
+        self.waited_ms = waited = now - self.started_at
+        coro.total_wait_ms += waited
+        tracer = scheduler.tracer
+        if tracer is not None:
+            tracer.on_wait(coro, self.event, self.started_at, now, self.timed_out)
+        kernel.call_soon(scheduler._step, coro, self)
+
+    def on_timeout(self) -> None:
+        if self.active:
+            event = self.event
+            event.unsubscribe(self.on_trigger)
+            event.timed_out = self.timed_out = True
+            self.on_trigger(event)
 
 
 class Scheduler:
     """Drives coroutines for one runtime instance.
 
-    ``tracer`` (any object with the :class:`repro.trace.tracepoints.Tracer`
-    hook methods) observes spawns, wait begins/ends and completions —
-    that's the instrumentation the SPG and the fail-slow checker are built
-    from.
+    ``tracer`` (any object with :class:`repro.trace.tracepoints.Tracer`'s
+    ``on_spawn`` / ``on_wait`` / ``on_finish`` hooks) observes spawns,
+    finished waits and completions — that's the instrumentation the SPG
+    and the fail-slow checker are built from.
     """
 
     def __init__(self, kernel: Kernel, node: Optional[str] = None, tracer: Any = None):
@@ -74,7 +116,7 @@ class Scheduler:
             self._next_id, gen, name=name, node=self.node, dedication=dedication
         )
         coro.spawned_at = self.kernel.now
-        coro.state = CoroutineState.RUNNABLE
+        coro.state = _RUNNABLE
         self._live[coro.coro_id] = coro
         if self.tracer is not None:
             self.tracer.on_spawn(coro, self.kernel.now)
@@ -100,9 +142,10 @@ class Scheduler:
     # Stepping
     # ------------------------------------------------------------------
     def _step(self, coro: Coroutine, send_value: Optional[WaitResult]) -> None:
-        if not coro.alive():
-            return
-        coro.state = CoroutineState.RUNNABLE
+        state = coro.state
+        if state is not _RUNNABLE and state is not _WAITING:
+            return  # killed while this step was queued
+        coro.state = _RUNNABLE
         try:
             yielded = coro.gen.send(send_value)
         except StopIteration as stop:
@@ -111,55 +154,26 @@ class Scheduler:
         except BaseException as exc:  # noqa: BLE001 - task bodies may raise anything
             self._fail(coro, exc)
             return
-        if not coro.alive():
+        if coro.state is not _RUNNABLE:
             # Killed from code it called (e.g. its node OOM-crashed while
             # it was sending); finish the teardown now that it yielded.
             coro.gen.close()
             return
-        if yielded is YIELD:
-            self.kernel.call_soon(self._step, coro, None)
-            return
-        descriptor = as_wait(yielded)
-        self._suspend(coro, descriptor)
-
-    def _suspend(self, coro: Coroutine, descriptor: WaitDescriptor) -> None:
-        event = descriptor.event
-        coro.state = CoroutineState.WAITING
-        coro.wait_count += 1
-        pending = _PendingWait(coro, event, self.kernel.now)
-        if self.tracer is not None:
-            self.tracer.on_wait_start(coro, event, self.kernel.now, descriptor.timeout_ms)
-
-        def on_trigger(_event: Event) -> None:
-            if not pending.active:
+        kernel = self.kernel
+        if yielded.__class__ is not WaitDescriptor:
+            if yielded is YIELD:
+                kernel.call_soon(self._step, coro, None)
                 return
-            pending.active = False
-            if pending.timer is not None:
-                pending.timer.cancel()
-            self._resume(pending, timed_out=False)
-
-        if descriptor.timeout_ms is not None:
-
-            def on_timeout() -> None:
-                if not pending.active:
-                    return
-                pending.active = False
-                event.unsubscribe(on_trigger)
-                event.timed_out = True
-                self._resume(pending, timed_out=True)
-
-            pending.timer = self.kernel.schedule(descriptor.timeout_ms, on_timeout)
-
-        event.subscribe(on_trigger)
-
-    def _resume(self, pending: _PendingWait, timed_out: bool) -> None:
-        coro = pending.coro
-        waited = self.kernel.now - pending.started_at
-        coro.total_wait_ms += waited
-        if self.tracer is not None:
-            self.tracer.on_wait_end(coro, pending.event, self.kernel.now, timed_out)
-        result = WaitResult(pending.event, timed_out, waited)
-        self.kernel.call_soon(self._step, coro, result)
+            yielded = as_wait(yielded)
+        # Park the coroutine: timeout timer first, then the subscription,
+        # which resumes at once (through call_soon) if the event is ready.
+        event = yielded.event
+        coro.state = _WAITING
+        coro.wait_count += 1
+        pending = _PendingWait(self, coro, event, kernel.now)
+        if yielded.timeout_ms is not None:
+            pending.timer = kernel.schedule(yielded.timeout_ms, pending.on_timeout)
+        event.subscribe(pending.on_trigger)
 
     def _finish(self, coro: Coroutine, result: Any) -> None:
         self._live.pop(coro.coro_id, None)

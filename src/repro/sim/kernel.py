@@ -147,8 +147,23 @@ class Kernel:
         return call
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        """Run ``fn(*args)`` at the current time, after already-queued work."""
-        return self.schedule_at(self.now, fn, *args)
+        """Run ``fn(*args)`` at the current time, after already-queued work.
+
+        Every coroutine resume comes through here, so this is the enqueue
+        body itself (``now`` cannot be in the past), not a hop through
+        :meth:`schedule_at`.
+        """
+        now = self.now
+        self._seq += 1
+        call = ScheduledCall(now, self._seq, fn, args, self)
+        bucket = self._buckets.get(now)
+        if bucket is None:
+            self._buckets[now] = bucket = deque()
+            heapq.heappush(self._times, now)
+        bucket.append(call)
+        self._live += 1
+        self._size += 1
+        return call
 
     # ------------------------------------------------------------------
     # Execution
@@ -268,7 +283,10 @@ class Kernel:
             self._live -= executed
             self.events_executed += executed
         if not bucket:
-            self._retire_bucket(due, None)
+            # Drained: drop the bucket and its heap entry (``due`` is the
+            # heap minimum — nothing can be scheduled before ``now``).
+            del self._buckets[due]
+            heapq.heappop(self._times)
 
     def _retire_bucket(self, due: float, bucket: Optional[deque]) -> None:
         """Drop a drained (or dead) bucket and its heap entry."""

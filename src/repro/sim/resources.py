@@ -88,10 +88,13 @@ class _FifoResource:
         """Queue ``cost`` units of work; ``on_done`` fires at completion."""
         if cost < 0:
             raise ValueError(f"negative job cost {cost}")
-        job = ResourceJob(cost, on_done, label=label)
-        self._queue.append(job)
+        job = ResourceJob(cost, on_done, label)
         if self._current is None:
-            self._start_next()
+            # Idle (so nothing is queued either): straight into service.
+            self._busy_since = self.kernel.now
+            self._serve(job)
+        else:
+            self._queue.append(job)
         return job
 
     def queue_depth(self) -> int:
@@ -125,28 +128,29 @@ class _FifoResource:
 
     # -- internals -------------------------------------------------------
     def _start_next(self) -> None:
-        while self._queue:
-            job = self._queue.popleft()
-            if job.cancelled:
-                continue
-            if self._busy_since is None:
-                self._busy_since = self.kernel.now
-            self._current = job
-            setup = self.setup_latency(job)
-            if setup > 0:
-                # Setup time is rate-independent; model it as a delay before
-                # service starts so bandwidth faults do not inflate it.
-                job.started_at = self.kernel.now + setup
-                self._rate_at_start = 0.0
-                self._completion = self.kernel.schedule(setup, self._begin_service, job)
-            else:
-                self._begin_service(job)
-            return
+        queue = self._queue
+        while queue:
+            job = queue.popleft()
+            if not job.cancelled:
+                self._serve(job)
+                return
         self._current = None
         self._completion = None
         if self._busy_since is not None:
             self._busy_ms += self.kernel.now - self._busy_since
             self._busy_since = None
+
+    def _serve(self, job: ResourceJob) -> None:
+        self._current = job
+        setup = self.setup_latency(job)
+        if setup > 0:
+            # Setup time is rate-independent; model it as a delay before
+            # service starts so bandwidth faults do not inflate it.
+            job.started_at = self.kernel.now + setup
+            self._rate_at_start = 0.0
+            self._completion = self.kernel.schedule(setup, self._begin_service, job)
+        else:
+            self._begin_service(job)
 
     def _begin_service(self, job: ResourceJob) -> None:
         if job.cancelled:

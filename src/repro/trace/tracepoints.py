@@ -3,8 +3,8 @@
 A :class:`Tracer` receives the scheduler's hooks and materializes one
 :class:`WaitRecord` per completed wait. Records carry the waiting
 coroutine's node, the event's kind, and the event's *wait edges* — the
-``(source, k, n)`` dependencies captured at wait time — which is all the
-SPG and the tolerance checker need.
+``(source, k, n)`` dependencies read off the event when the wait ends —
+which is all the SPG and the tolerance checker need.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class Tracer:
         self.fsync_latencies: List[Tuple[str, int, float, float]] = []
         self.spawned = 0
         self.finished = 0
-        self._open_waits: Dict[int, Tuple[Event, float]] = {}
+        # Start times of waits opened through on_wait_start, by id(coro).
+        self._open_waits: Dict[int, float] = {}
         # Streaming listeners: online detectors subscribe here to consume
         # trace points live instead of post-processing the record lists.
         self._rpc_listeners: List[Callable] = []
@@ -142,35 +143,27 @@ class Tracer:
     def on_spawn(self, coro, now: float) -> None:
         self.spawned += 1
 
+    def on_wait(self, coro, event: Event, started_at: float, now: float, timed_out: bool) -> None:
+        """One finished wait, start and end in one call (the scheduler's hook)."""
+        if self.enabled:
+            self.records.append(
+                WaitRecord(
+                    coro.name, coro.node, event.kind, event.name, event.wait_edges(),
+                    started_at, now, timed_out, coro.dedication,
+                )
+            )
+
     def on_wait_start(self, coro, event: Event, now: float, timeout_ms) -> None:
-        if not self.enabled:
-            return
-        # Edges are captured at wait start: QuorumEvents may gain children
-        # afterwards, but DepFast code attaches children before waiting.
-        self._open_waits[id(coro)] = (event, now)
+        """With :meth:`on_wait_end`, the two-call form of :meth:`on_wait` for
+        callers that do not carry the start time; every start needs its end."""
+        if self.enabled:
+            self._open_waits[id(coro)] = now
 
     def on_wait_end(self, coro, event: Event, now: float, timed_out: bool) -> None:
-        if not self.enabled:
-            return
-        opened = self._open_waits.pop(id(coro), None)
-        started_at = opened[1] if opened is not None else now
-        self.records.append(
-            WaitRecord(
-                coro_name=coro.name,
-                node=coro.node,
-                event_kind=event.kind,
-                event_name=event.name,
-                edges=event.wait_edges(),
-                started_at=started_at,
-                ended_at=now,
-                timed_out=timed_out,
-                dedication=getattr(coro, "dedication", None),
-            )
-        )
+        self.on_wait(coro, event, self._open_waits.pop(id(coro), now), now, timed_out)
 
     def on_finish(self, coro, now: float) -> None:
         self.finished += 1
-        self._open_waits.pop(id(coro), None)
 
     def on_rpc_complete(
         self, node: str, peer: str, method: str, latency_ms: float, now: float

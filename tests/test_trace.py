@@ -1,8 +1,10 @@
 """Tests for tracing, SPG construction, the tolerance checker and analysis."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.events.basic import RpcEvent, ValueEvent
+from repro.events.basic import NeverEvent, RpcEvent, ValueEvent
 from repro.events.compound import AndEvent, OrEvent, QuorumEvent
 from repro.runtime.runtime import Runtime
 from repro.sim.kernel import Kernel
@@ -96,6 +98,37 @@ class TestTracerIntegration:
         runtime.spawn(task())
         kernel.run_until_idle()
         assert tracer.records == []
+
+    def test_crash_leaves_no_per_coroutine_state_in_the_tracer(self):
+        kernel, tracer, runtime = self._traced_runtime()
+
+        def parked():
+            yield NeverEvent().wait()
+
+        for _ in range(8):
+            runtime.spawn(parked())
+        kernel.run(until_ms=5.0)
+        runtime.crash()
+        kernel.run_until_idle()
+        # No wait completed, so nothing the tracer owns may have grown: a
+        # killed coroutine reports neither a wait end nor a finish.
+        held = {
+            name: len(value)
+            for name, value in vars(tracer).items()
+            if isinstance(value, (dict, list, set))
+        }
+        assert not any(held.values()), held
+
+    def test_two_call_form_keeps_the_start_time(self):
+        tracer = Tracer(Kernel())
+        coro = SimpleNamespace(name="outside", node="s1", dedication=None)
+        ev = ValueEvent(source="s9")
+        tracer.on_wait_start(coro, ev, 3.0, None)
+        tracer.on_wait_end(coro, ev, 7.5, False)
+        (rec,) = tracer.records
+        assert (rec.coro_name, rec.started_at, rec.ended_at) == ("outside", 3.0, 7.5)
+        assert not rec.timed_out
+        assert tracer._open_waits == {}
 
 
 class TestSpg:
