@@ -15,11 +15,18 @@ stays ready forever. Compound events subscribe to their children as
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # Sentinel a coroutine can yield to cooperatively reschedule itself at the
 # current virtual time without waiting on any event.
 YIELD = object()
+
+# One (source, k, n) dependency, and what wait_edges() returns.
+WaitEdges = Tuple[Tuple[str, int, int], ...]
+
+# The 1-of-1 edge set of every basic event with a given source, built once
+# per source and handed out to every wait on it (one entry per node id).
+_UNIT_EDGES: Dict[str, WaitEdges] = {}
 
 
 class EventError(RuntimeError):
@@ -93,8 +100,10 @@ class Event:
         self.source = source
         self.timed_out = False
         self._triggered = False
-        self._waiters: List[Callable[["Event"], None]] = []
-        self._parents: List["Event"] = []
+        # Both created on first use: most events get one waiter and no
+        # parent, many get neither.
+        self._waiters: Optional[List[Callable[["Event"], None]]] = None
+        self._parents: Optional[List["Event"]] = None
         self.triggered_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -110,18 +119,19 @@ class Event:
             return
         self._triggered = True
         self.triggered_at = now
-        # Waiters are detached and parents copied before anyone is told, so
+        # Waiters and parents are both detached before anyone is told, so
         # a callback that (un)subscribes or re-parents cannot disturb this
-        # round; most events have no parent and at most one waiter, so an
-        # empty list is neither copied nor replaced.
-        waiters = self._waiters
-        if waiters:
-            self._waiters = []
-        if self._parents:
-            for parent in list(self._parents):
+        # round — and a triggered event points at nobody: the compound
+        # that holds it as a child and the waiter that holds it as its
+        # event are not held back, so neither pair forms a cycle.
+        waiters, parents = self._waiters, self._parents
+        self._waiters = self._parents = None
+        if parents is not None:
+            for parent in parents:
                 parent.child_triggered(self)
-        for notify in waiters:
-            notify(self)
+        if waiters is not None:
+            for notify in waiters:
+                notify(self)
 
     # ------------------------------------------------------------------
     # Waiting
@@ -140,15 +150,16 @@ class Event:
         """
         if self._triggered:
             notify(self)
+        elif self._waiters is None:
+            self._waiters = [notify]
         else:
             self._waiters.append(notify)
 
     def unsubscribe(self, notify: Callable[["Event"], None]) -> None:
         """Remove a subscription added by :meth:`subscribe` (no-op if absent)."""
-        try:
-            self._waiters.remove(notify)
-        except ValueError:
-            pass
+        waiters = self._waiters
+        if waiters is not None and notify in waiters:
+            waiters.remove(notify)
 
     # ------------------------------------------------------------------
     # Compound-event plumbing
@@ -157,14 +168,15 @@ class Event:
         """Register a compound event observing this one."""
         if self._triggered:
             parent.child_triggered(self)
+        elif self._parents is None:
+            self._parents = [parent]
         else:
             self._parents.append(parent)
 
     def remove_parent(self, parent: "Event") -> None:
-        try:
-            self._parents.remove(parent)
-        except ValueError:
-            pass
+        parents = self._parents
+        if parents is not None and parent in parents:
+            parents.remove(parent)
 
     def child_triggered(self, child: "Event") -> None:
         """Hook for compound events; basic events never have children."""
@@ -173,16 +185,23 @@ class Event:
     # ------------------------------------------------------------------
     # SPG metadata
     # ------------------------------------------------------------------
-    def wait_edges(self) -> List[tuple]:
+    def wait_edges(self) -> WaitEdges:
         """(source, k, n) tuples describing whom a waiter depends on.
 
         A basic event is a 1/1 dependency on its source; compound events
         override this to express quorum semantics. Events with no source
-        (pure local conditions) contribute no edges.
+        (pure local conditions) contribute no edges. The result is
+        immutable and, for a basic event, shared by every event with the
+        same source: a finished wait's record retains no container of its
+        own.
         """
-        if self.source is None:
-            return []
-        return [(self.source, 1, 1)]
+        source = self.source
+        if source is None:
+            return ()
+        edges = _UNIT_EDGES.get(source)
+        if edges is None:
+            edges = _UNIT_EDGES[source] = ((source, 1, 1),)
+        return edges
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "ready" if self._triggered else "pending"

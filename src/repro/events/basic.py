@@ -32,11 +32,15 @@ class TimerEvent(Event):
         self._kernel = kernel
 
     def trigger(self, now: Optional[float] = None) -> None:
+        # The scheduled call holds this bound method, hence this event:
+        # let go of it now that it has fired.
+        self._call = None
         super().trigger(self._kernel.now if now is None else now)
 
     def cancel(self) -> None:
-        """Stop the timer; the event will never trigger."""
-        self._call.cancel()
+        """Stop the timer; the event will never trigger (no-op once fired)."""
+        if self._call is not None:
+            self._call.cancel()
 
 
 class ValueEvent(Event):

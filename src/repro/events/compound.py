@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.events.base import Event, EventError
+from repro.events.base import Event, EventError, WaitEdges
 
 
 class CompoundEvent(Event):
@@ -88,11 +88,11 @@ class AndEvent(CompoundEvent):
     def check_ready(self) -> bool:
         return bool(self.children) and all(child.ready() for child in self.children)
 
-    def wait_edges(self) -> List[tuple]:
+    def wait_edges(self) -> WaitEdges:
         edges: List[tuple] = []
         for child in self.children:
             edges.extend(child.wait_edges())
-        return edges
+        return tuple(edges)
 
 
 class OrEvent(CompoundEvent):
@@ -114,7 +114,7 @@ class OrEvent(CompoundEvent):
     def check_ready(self) -> bool:
         return any(child.ready() for child in self.children)
 
-    def wait_edges(self) -> List[tuple]:
+    def wait_edges(self) -> WaitEdges:
         # An Or-wait depends on its alternatives only weakly: the waiter
         # needs 1 of n branches, so each branch's edges get a "1-of-n"
         # discount. Exception: a source that is *critical in every branch*
@@ -137,7 +137,7 @@ class OrEvent(CompoundEvent):
                     edges.append((source, k, total))
                 else:
                     edges.append((source, k, max(total, n)))
-        return edges
+        return tuple(edges)
 
 
 class QuorumEvent(CompoundEvent):
@@ -224,13 +224,13 @@ class QuorumEvent(CompoundEvent):
         """Children that have not yet triggered (the possibly-slow tail)."""
         return [child for child in self.children if not child.ready()]
 
-    def wait_edges(self) -> List[tuple]:
+    def wait_edges(self) -> WaitEdges:
         k, n = self.quorum, self.total()
-        edges: List[tuple] = []
-        for child in self.children:
-            for source, _ck, _cn in child.wait_edges():
-                edges.append((source, k, n))
-        return edges
+        return tuple([
+            (source, k, n)
+            for child in self.children
+            for source, _ck, _cn in child.wait_edges()
+        ])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "ready" if self.ready() else "pending"

@@ -56,8 +56,12 @@ class _PendingWait(WaitResult):
         if not self.active:
             return
         self.active = False
-        if self.timer is not None:
-            self.timer.cancel()  # a no-op when the timer is what fired
+        timer = self.timer
+        if timer is not None:
+            # Cancel (a no-op when the timer is what fired) and let go: the
+            # call holds on_timeout, hence this object — a cycle otherwise.
+            self.timer = None
+            timer.cancel()
         scheduler, coro = self.scheduler, self.coro
         kernel = scheduler.kernel
         now = kernel.now

@@ -69,11 +69,14 @@ class ScheduledCall:
 
         Cancelling a call that already ran (or is running right now) is a
         no-op — in particular it must not disturb the kernel's live-count
-        accounting.
+        accounting. A cancelled call lets go of its callback at once: it
+        may sit in its bucket until its due time (lazy deletion), and must
+        not keep whatever it would have resumed alive until then.
         """
         if self.cancelled or self.executed:
             return
         self.cancelled = True
+        self.fn = self.args = None
         if self._kernel is not None:
             self._kernel._on_cancel()
 

@@ -49,6 +49,7 @@ class ResourceJob:
     def cancel(self) -> None:
         """Drop the job if it has not completed; its callback never fires."""
         self.cancelled = True
+        self.on_done = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ResourceJob {self.label!r} cost={self.cost:.3f} done={self.done}>"
@@ -170,9 +171,13 @@ class _FifoResource:
         self._completion = None
         job.remaining = 0.0
         job.done = True
+        # The callback usually belongs to whoever holds the job (a
+        # CpuEvent / DiskEvent): taking it out of the job is what lets
+        # both die by reference count.
+        on_done, job.on_done = job.on_done, None
         self._start_next()
-        if not job.cancelled and job.on_done is not None:
-            job.on_done()
+        if on_done is not None:
+            on_done()
 
 
 class CpuResource(_FifoResource):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.events.base import Event
+from repro.events.base import Event, WaitEdges
 from repro.sim.kernel import Kernel
 
 
@@ -69,7 +69,7 @@ class WaitRecord:
         node: Optional[str],
         event_kind: str,
         event_name: str,
-        edges: List[Tuple[str, int, int]],
+        edges: WaitEdges,
         started_at: float,
         ended_at: float,
         timed_out: bool,

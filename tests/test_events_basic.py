@@ -62,10 +62,10 @@ class TestEventBase:
 
     def test_wait_edges_for_sourced_event(self):
         ev = Event(source="s2")
-        assert ev.wait_edges() == [("s2", 1, 1)]
+        assert ev.wait_edges() == (("s2", 1, 1),)
 
     def test_wait_edges_empty_without_source(self):
-        assert Event().wait_edges() == []
+        assert Event().wait_edges() == ()
 
 
 class TestTimerEvent:

@@ -119,7 +119,7 @@ class TestQuorumEvent:
         q = QuorumEvent(quorum=2, n_total=3)
         for child in self._rpc_children(3):
             q.add(child)
-        assert q.wait_edges() == [("s0", 2, 3), ("s1", 2, 3), ("s2", 2, 3)]
+        assert q.wait_edges() == (("s0", 2, 3), ("s1", 2, 3), ("s2", 2, 3))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(EventError):

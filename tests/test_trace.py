@@ -205,7 +205,7 @@ class TestSpg:
             ValueEvent(name="ack", source="s2"), RpcEvent("probe", to_node="s2")
         )
         edges = shared.wait_edges()
-        assert edges == [("s2", 1, 1), ("s2", 1, 1)]
+        assert edges == (("s2", 1, 1), ("s2", 1, 1))
         graph = build_spg([record("s1", "or", edges)])
         assert graph.edges[("s1", "s2")]["color"] == "red"
 
