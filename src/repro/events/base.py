@@ -1,9 +1,10 @@
 """Event base class and the coroutine⇄scheduler wait protocol.
 
 A coroutine blocks by ``yield``-ing a :class:`WaitDescriptor`, produced by
-:meth:`Event.wait`. The scheduler parks the coroutine until the event
-triggers (or the per-wait timeout fires) and resumes it with a
-:class:`WaitResult` — the Python analog of the paper's::
+:meth:`Event.wait` — or the event itself, for a wait without a timeout.
+The scheduler parks the coroutine until the event triggers (or the
+per-wait timeout fires) and resumes it with a :class:`WaitResult` — the
+Python analog of the paper's::
 
     rpc_event.Wait();           // possible slowness
     if (rpc_event.timeout()) { ... }
@@ -198,10 +199,11 @@ class Event:
         source = self.source
         if source is None:
             return ()
-        edges = _UNIT_EDGES.get(source)
-        if edges is None:
+        try:
+            return _UNIT_EDGES[source]
+        except KeyError:
             edges = _UNIT_EDGES[source] = ((source, 1, 1),)
-        return edges
+            return edges
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "ready" if self._triggered else "pending"

@@ -55,11 +55,19 @@ class ValueEvent(Event):
     __slots__ = ("value",)
 
     def __init__(self, name: str = "value", source: Optional[str] = None):
-        super().__init__(name=name, source=source)
+        # Event's seven slots, set here rather than through its
+        # constructor: one of these is made per message received.
+        self.name = name
+        self.source = source
+        self.timed_out = False
+        self._triggered = False
+        self._waiters = None
+        self._parents = None
+        self.triggered_at: Optional[float] = None
         self.value: Any = None
 
     def set(self, value: Any, now: Optional[float] = None) -> None:
-        if self.ready():
+        if self._triggered:
             raise EventError(f"ValueEvent {self.name!r} set twice")
         self.value = value
         self.trigger(now)
@@ -117,7 +125,14 @@ class RpcEvent(Event):
     __slots__ = ("method", "to_node", "reply", "error", "issued_at", "cancel_send")
 
     def __init__(self, method: str, to_node: str, name: str = ""):
-        super().__init__(name=name or f"rpc:{method}->{to_node}", source=to_node)
+        # Event's seven slots first (see ValueEvent): one per outbound RPC.
+        self.name = name or f"rpc:{method}->{to_node}"
+        self.source = to_node
+        self.timed_out = False
+        self._triggered = False
+        self._waiters = None
+        self._parents = None
+        self.triggered_at: Optional[float] = None
         self.method = method
         self.to_node = to_node
         self.reply: Any = None
@@ -126,20 +141,20 @@ class RpcEvent(Event):
         self.cancel_send: Optional[Callable[[], bool]] = None
 
     def complete(self, reply: Any, now: Optional[float] = None) -> None:
-        if self.ready():
+        if self._triggered:
             return  # late duplicate reply; first one wins
         self.reply = reply
         self.trigger(now)
 
     def fail(self, error: str, now: Optional[float] = None) -> None:
-        if self.ready():
+        if self._triggered:
             return
         self.error = error
         self.trigger(now)
 
     @property
     def ok(self) -> bool:
-        return self.ready() and self.error is None
+        return self._triggered and self.error is None
 
     def latency_ms(self) -> Optional[float]:
         if self.issued_at is None or self.triggered_at is None:
@@ -148,16 +163,53 @@ class RpcEvent(Event):
 
 
 class _ResourceEvent(Event):
-    """Completion of one job on a FIFO resource; subclasses submit it."""
+    """One job on a FIFO resource and its completion, in one object.
 
-    __slots__ = ("_job", "_kernel")
+    The event *is* the job: it carries the job's fields, goes on the
+    resource's queue itself and is told :meth:`finished` by the resource
+    (see :class:`~repro.sim.resources.ResourceJob` for the callback-style
+    shape of the same thing). Only its creator may :meth:`cancel` it.
+    """
 
-    def _done(self) -> None:
-        self.trigger(self._kernel.now)
+    __slots__ = ("cost", "remaining", "started_at", "done", "cancelled")
+
+    def __init__(
+        self,
+        resource: "CpuResource | DiskResource",
+        cost: float,
+        name: str = "",
+        source: Optional[str] = None,
+    ):
+        if cost < 0:
+            raise EventError(f"negative {self.kind} cost {cost}")
+        # Event's seven slots (see ValueEvent), then the job's five: one
+        # of these is made per compute, ~9 per replicated operation.
+        self.name = name or self.kind
+        self.source = source
+        self.timed_out = False
+        self._triggered = False
+        self._waiters = None
+        self._parents = None
+        self.triggered_at: Optional[float] = None
+        self.cost = self.remaining = cost
+        self.started_at: Optional[float] = None
+        self.done = False
+        self.cancelled = False
+        resource.enqueue(self)
+
+    def finished(self, now: float) -> None:
+        """The resource completed the work: trigger, unless abandoned."""
+        if not self.cancelled:
+            self.trigger(now)
 
     def cancel(self) -> None:
-        """Abandon the job (e.g. the issuing node crashed)."""
-        self._job.cancel()
+        """Abandon the job (e.g. the issuing node crashed).
+
+        Never triggers afterwards. A queued job is skipped when its turn
+        comes; one already in service still occupies the resource until
+        its completion time.
+        """
+        self.cancelled = True
 
 
 class DiskEvent(_ResourceEvent):
@@ -175,40 +227,26 @@ class DiskEvent(_ResourceEvent):
         name: str = "",
         source: Optional[str] = None,
     ):
-        super().__init__(name=name or f"disk:{op}", source=source)
         if n_bytes < 0:
             raise EventError(f"negative I/O size {n_bytes}")
         self.op = op
         self.n_bytes = n_bytes
-        self._kernel = disk.kernel
-        self._job = disk.submit(float(n_bytes), self._done, op)
+        super().__init__(disk, float(n_bytes), name or f"disk:{op}", source)
 
 
 class CpuEvent(_ResourceEvent):
     """Completion of a slice of CPU work submitted to a node's CPU queue.
 
-    This is how handler compute cost is modelled: a coroutine that does
-    ``cost_ms`` of processing yields a CpuEvent wait, which both delays it
-    and occupies the (possibly throttled) CPU resource.
+    ``CpuEvent(cpu, cost_ms, name="cpu", source=None)``. This is how handler
+    compute cost is modelled: a coroutine that does ``cost_ms`` of
+    processing yields a CpuEvent, which both delays it and occupies the
+    (possibly throttled) CPU resource. The constructor is the shared one:
+    no frame of its own on the hottest allocation in a run.
     """
 
     kind = "cpu"
 
-    __slots__ = ("cost_ms",)
-
-    def __init__(
-        self,
-        cpu: CpuResource,
-        cost_ms: float,
-        name: str = "cpu",
-        source: Optional[str] = None,
-    ):
-        super().__init__(name=name, source=source)
-        if cost_ms < 0:
-            raise EventError(f"negative CPU cost {cost_ms}")
-        self.cost_ms = cost_ms
-        self._kernel = cpu.kernel
-        self._job = cpu.submit(cost_ms, self._done, name)
+    __slots__ = ()
 
 
 class NeverEvent(Event):

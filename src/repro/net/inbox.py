@@ -30,6 +30,7 @@ class Inbox:
 
     def __init__(self, node: str):
         self.node = node
+        self._event_name = f"inbox:{node}"
         self._queue: Deque[_Item] = deque()
         self._waiter: Optional[ValueEvent] = None
         self.received = 0
@@ -61,13 +62,13 @@ class Inbox:
             self._queue.append((message, ack, ack_arg))
 
     def get_event(self) -> ValueEvent:
-        """Event carrying the next message; consume with ``(yield ev.wait()).event.value``.
+        """Event carrying the next message; consume with ``(yield ev).event.value``.
 
         Single-consumer: only one outstanding get is allowed.
         """
         if self._waiter is not None:
             raise RuntimeError(f"inbox {self.node!r} already has a pending get")
-        event = ValueEvent(name=f"inbox:{self.node}", source=self.node)
+        event = ValueEvent(self._event_name, self.node)
         if self._queue:
             message, ack, ack_arg = self._queue.popleft()
             if ack_arg is _NO_ARG:

@@ -82,6 +82,9 @@ class Connection:
         self.buffer = SendBuffer(
             src.node, dst.node, memory=src.memory, max_bytes=src.buffer_limit
         )
+        # The buffer's own FIFO, for emptiness tests and the head peek
+        # without a call (the buffer never rebinds it).
+        self._send_queue = self.buffer._queue
         self._tx_free_at = 0.0
         # Messages transmitted before this time are stale (their TCP
         # connection was reset by a crash/restart) and drop on delivery.
@@ -114,7 +117,7 @@ class Connection:
         message.sent_at = self.network.kernel.now
         if self.src.crashed:
             return  # a dead process sends nothing
-        if self._window_admits(message.size_bytes) and not self.buffer:
+        if not self._send_queue and self._window_admits(message.size_bytes):
             self._transmit(message)
         else:
             self.buffer.push(message)
@@ -133,7 +136,9 @@ class Connection:
         kernel = self.network.kernel
         self.in_flight += message.size_bytes
         self.sent += 1
-        tx_start = max(kernel.now, self._tx_free_at)
+        tx_start = kernel.now
+        if tx_start < self._tx_free_at:
+            tx_start = self._tx_free_at  # serialization is pipelined
         tx_end = tx_start + self.link.transfer_ms(message.size_bytes)
         self._tx_free_at = tx_end
         arrival = (
@@ -182,24 +187,31 @@ class Connection:
             self.dropped += 1
             self._release(message)
             return
-        if self.network.drops_on_delivery(self.src.node, self.dst.node):
+        network = self.network
+        # Ask only when some partition or loss rate exists at all; the
+        # question draws from the loss RNG only for a pair with a rate.
+        if (network._blocked or network._loss_rates) and network.drops_on_delivery(
+            self.src.node, self.dst.node
+        ):
             # Partitioned link or probabilistic loss: silently dropped.
             self.dropped += 1
             self._release(message)
             return
-        now = self.network.kernel.now
+        now = network.kernel.now
         message.delivered_at = now
         self.delivered += 1
-        probe = self.network.delivery_probe
+        probe = network.delivery_probe
         if probe is not None:
             probe(now, message)
         self.dst.inbox.put(message, self._release_cb, message)
 
     def _release(self, message: Message) -> None:
-        # max() guards against stale in-flight releases racing a restart's
+        # Clamped at zero: a stale in-flight release may race a restart's
         # accounting reset.
-        self.in_flight = max(0, self.in_flight - message.size_bytes)
-        self._pump()
+        in_flight = self.in_flight - message.size_bytes
+        self.in_flight = in_flight if in_flight > 0 else 0
+        if self._send_queue:
+            self._pump()
 
     def _window_admits(self, size_bytes: int) -> bool:
         # Like TCP, an idle connection always admits one message even if it
@@ -209,9 +221,9 @@ class Connection:
         return self.in_flight + size_bytes <= self.window_bytes
 
     def _pump(self) -> None:
-        while self.buffer and not self.src.crashed:
-            head_size = self.buffer._queue[0].size_bytes  # peek
-            if not self._window_admits(head_size):
+        queue = self._send_queue
+        while queue and not self.src.crashed:
+            if not self._window_admits(queue[0].size_bytes):  # peek
                 return
             message = self.buffer.pop()
             if message is not None:
@@ -291,7 +303,10 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
         """Send a message along the (src, dst) connection."""
-        connection = self.connection(message.src, message.dst)
+        try:
+            connection = self._connections[message.src, message.dst]
+        except KeyError:
+            connection = self.connection(message.src, message.dst)
         self._messages.value += 1
         connection.send(message)
 

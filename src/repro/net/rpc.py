@@ -22,7 +22,7 @@ from repro.events.compound import QuorumEvent
 from repro.net.buffers import BufferOverflowError
 from repro.net.inbox import Inbox
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import Connection, Network
 from repro.runtime.runtime import Runtime
 
 # A handler is a generator function: (payload, src_node) -> yields waits,
@@ -114,6 +114,15 @@ class RpcEndpoint:
         self.parse_cost_per_kb_ms = parse_cost_per_kb_ms
         self.inbox = Inbox(node)
         self.handlers: Dict[str, Handler] = {}
+        # Per registered method, built once in register(): the name of its
+        # handler coroutines and the method name its replies carry.
+        self._handler_names: Dict[str, str] = {}
+        self._reply_methods: Dict[str, str] = {}
+        # Per target: the outbound connection (the network keeps one per
+        # ordered pair for its whole life) and, per (method, target), the
+        # RpcEvent name.
+        self._connections: Dict[str, Connection] = {}
+        self._rpc_names: Dict[Tuple[str, str], str] = {}
         self._pending: Dict[int, RpcEvent] = {}
         self._started = False
         self.requests_handled = 0
@@ -135,6 +144,8 @@ class RpcEndpoint:
         if method in self.handlers:
             raise RpcError(f"method {method!r} already registered on {self.node}")
         self.handlers[method] = handler
+        self._handler_names[method] = f"{self.node}:{method}"
+        self._reply_methods[method] = f"{method}:reply"
 
     def start(self) -> None:
         """Spawn the dispatcher loop; call after handlers are registered."""
@@ -170,16 +181,26 @@ class RpcEndpoint:
         message = Message(
             self.node, target, method, payload, size_bytes, hedge_group=hedge_group
         )
-        event = RpcEvent(method, to_node=target)
-        event.issued_at = self.runtime.now
+        try:
+            name = self._rpc_names[method, target]
+        except KeyError:
+            name = self._rpc_names[method, target] = f"rpc:{method}->{target}"
+        event = RpcEvent(method, target, name)
+        now = self.runtime.kernel.now
+        event.issued_at = now
         self._pending[message.msg_id] = event
-        connection = self.network.connection(self.node, target)
+        try:
+            connection = self._connections[target]
+        except KeyError:
+            connection = self._connections[target] = self.network.connection(
+                self.node, target
+            )
         event.cancel_send = _CancelHandle(self, connection, message.msg_id)
         try:
             connection.send(message)
         except BufferOverflowError as exc:
             del self._pending[message.msg_id]
-            event.fail(f"send buffer overflow: {exc}", now=self.runtime.now)
+            event.fail(f"send buffer overflow: {exc}", now=now)
         return event
 
     def abort_hedge_group(self, target: str, hedge_group: Tuple) -> None:
@@ -204,31 +225,46 @@ class RpcEndpoint:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> Generator:
-        while not self.runtime.crashed:
-            event = self.inbox.get_event()
-            yield event.wait()
+        # Runs once per message received: everything that cannot change
+        # under the loop is bound here, and state is read where it lives
+        # (``_crashed``, ``reply_to``) rather than through a property.
+        runtime = self.runtime
+        get_event = self.inbox.get_event
+        compute = runtime.compute
+        spawn = runtime.scheduler.spawn
+        handler_names = self._handler_names
+        while not runtime._crashed:
+            event = get_event()
+            yield event
             message: Message = event.value
             parse_cost = self.parse_cost_ms + (
                 self.parse_cost_per_kb_ms * message.size_bytes / 1024.0
             )
             if parse_cost > 0:
-                yield self.runtime.compute(parse_cost, name="rpc-parse")
-            if message.is_reply:
+                yield compute(parse_cost, "rpc-parse")
+            if message.reply_to is not None:
                 self._complete_reply(message)
             else:
-                self.runtime.spawn(
-                    self._handle(message), name=f"{self.node}:{message.method}"
-                )
+                try:
+                    name = handler_names[message.method]
+                except KeyError:
+                    # Not registered: the handler coroutine still starts,
+                    # and fails with RpcError from _handle.
+                    name = f"{self.node}:{message.method}"
+                spawn(self._handle(message), name)
 
     def _complete_reply(self, message: Message) -> None:
         pending = self._pending.pop(message.reply_to, None)
         if pending is not None:
-            pending.complete(message.payload, now=self.runtime.now)
-            tracer = self.runtime.scheduler.tracer
-            latency = pending.latency_ms()
-            if tracer is not None and latency is not None:
+            runtime = self.runtime
+            now = runtime.kernel.now
+            pending.complete(message.payload, now)
+            tracer = runtime.scheduler.tracer
+            issued_at, triggered_at = pending.issued_at, pending.triggered_at
+            if tracer is not None and issued_at is not None and triggered_at is not None:
+                # RpcEvent.latency_ms(), read in place.
                 tracer.on_rpc_complete(
-                    self.node, pending.to_node, pending.method, latency, self.runtime.now
+                    self.node, pending.to_node, pending.method, triggered_at - issued_at, now
                 )
         # else: caller moved on (timeout); late reply is dropped.
 
@@ -258,9 +294,10 @@ class RpcEndpoint:
                 waiters.append(message)
                 return
             self._hedge_inflight[group] = []
-        handler = self.handlers.get(message.method)
-        if handler is None:
-            raise RpcError(f"{self.node}: no handler for {message.method!r}")
+        try:
+            handler = self.handlers[message.method]
+        except KeyError:
+            raise RpcError(f"{self.node}: no handler for {message.method!r}") from None
         reply_payload = yield from handler(message.payload, message.src)
         self.requests_handled += 1
         if group is not None:
@@ -274,10 +311,15 @@ class RpcEndpoint:
     def _send_reply(self, message: Message, reply_payload: Any) -> None:
         if reply_payload is None:
             return
+        method = message.method
+        try:
+            reply_method = self._reply_methods[method]
+        except KeyError:  # a hedge copy of a method nobody registered
+            reply_method = f"{method}:reply"
         reply = Message(
             self.node,
             message.src,
-            f"{message.method}:reply",
+            reply_method,
             reply_payload,
             size_bytes=_payload_size(reply_payload),
             reply_to=message.msg_id,
@@ -345,23 +387,23 @@ class QuorumCall:
             self.event.add(rpc_event)
         if discard_on_quorum:
             self.event.subscribe(self._discard_stragglers)
-        tracer = getattr(endpoint.runtime.scheduler, "tracer", None)
-        if tracer is not None:
+        if endpoint.runtime.scheduler.tracer is not None:
             # §5 trace point: report who made this quorum and who
             # straggled, feeding the online fail-slow scorer.
-            self.event.subscribe(
-                lambda ev, _t=tracer: _t.report_quorum_event(
-                    endpoint.node, ev, endpoint.runtime.now
-                )
-            )
+            self.event.subscribe(self._report_quorum)
 
     @staticmethod
     def _wrap_classifier(
         classify: Optional[Callable[[RpcEvent], bool]]
     ) -> Callable[[RpcEvent], bool]:
         if classify is None:
-            return lambda rpc_event: rpc_event.ok
+            return _rpc_ok
         return lambda rpc_event: rpc_event.ok and classify(rpc_event)
+
+    def _report_quorum(self, event: QuorumEvent) -> None:
+        endpoint = self.endpoint
+        runtime = endpoint.runtime
+        runtime.scheduler.tracer.report_quorum_event(endpoint.node, event, runtime.kernel.now)
 
     def _discard_stragglers(self, _event) -> None:
         for rpc_event in self.calls:
@@ -376,8 +418,15 @@ class QuorumCall:
         return self.event.wait(timeout_ms)
 
 
+def _rpc_ok(rpc_event: RpcEvent) -> bool:
+    """QuorumCall's default classifier: any reply that is not an error."""
+    return rpc_event.ok
+
+
 def _payload_size(payload: Any) -> int:
     """Crude size estimate for reply payloads (requests size explicitly)."""
+    if payload.__class__ is dict:
+        return 64  # nearly every reply: no size_bytes, not bytes or str
     size = getattr(payload, "size_bytes", None)
     if size is not None:
         return int(size)

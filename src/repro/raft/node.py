@@ -122,7 +122,7 @@ class RaftNode:
         self._match_index: Dict[str, int] = {}
         self._sent_index: Dict[str, int] = {}
         self._repairing: Set[str] = set()
-        self._catchup_promises: List[Tuple[str, int, Event]] = []
+        self._catchup_promises: Dict[str, List[Tuple[int, Event]]] = {}
         self._completions: Dict[int, ValueEvent] = {}
         self._pending_ops: Deque[_PendingOp] = deque()
         self._pending_signal: Optional[ValueEvent] = None
@@ -366,7 +366,7 @@ class RaftNode:
         self._match_index = {peer: 0 for peer in self.peers}
         self._sent_index = {peer: last for peer in self.peers}
         self._repairing = set()
-        self._catchup_promises = []
+        self._catchup_promises = {}
         if self.log.last_index() > self.commit_index:
             # Uncommitted tail inherited from a previous term (or replayed
             # from the WAL after a crash): Raft may only commit it behind
@@ -582,18 +582,18 @@ class RaftNode:
         if self._match_index.get(peer, 0) >= target_index:
             promise.trigger(self.rt.now)
         else:
-            self._catchup_promises.append((peer, target_index, promise))
+            self._catchup_promises.setdefault(peer, []).append((target_index, promise))
         return promise
 
     def _fire_catchup_promises(self, peer: str) -> None:
+        waiting = self._catchup_promises.get(peer)  # this peer's only, oldest first
+        if not waiting:
+            return
         match = self._match_index.get(peer, 0)
-        remaining = []
-        for entry_peer, target, promise in self._catchup_promises:
-            if entry_peer == peer and match >= target:
+        for target, promise in waiting:
+            if match >= target:
                 promise.trigger(self.rt.now)
-            elif not promise.ready():
-                remaining.append((entry_peer, target, promise))
-        self._catchup_promises = remaining
+        self._catchup_promises[peer] = [entry for entry in waiting if match < entry[0]]
 
     # ------------------------------------------------------------------
     # Repair: background catch-up of lagging followers

@@ -2,8 +2,9 @@
 
 A DepFast coroutine wraps a Python generator. The generator expresses the
 task's logic *synchronously* (the paper's antidote to shredded callback
-code) and yields :class:`~repro.events.base.WaitDescriptor` objects at its
-wait points; the scheduler resumes it with a
+code) and yields :class:`~repro.events.base.WaitDescriptor` objects (or
+bare events, for an untimed wait) at its wait points; the scheduler
+resumes it with a
 :class:`~repro.events.base.WaitResult`.
 """
 
@@ -28,6 +29,24 @@ class CoroutineState(enum.Enum):
 
 class Coroutine:
     """One cooperative task. Created via ``Scheduler.spawn`` / ``Runtime.spawn``."""
+
+    # One per request handled, so no per-instance dict; ``__weakref__``
+    # because lifetime tests (and tooling) take weak references to tasks.
+    __slots__ = (
+        "coro_id",
+        "gen",
+        "name",
+        "node",
+        "dedication",
+        "state",
+        "result",
+        "exception",
+        "spawned_at",
+        "finished_at",
+        "total_wait_ms",
+        "wait_count",
+        "__weakref__",
+    )
 
     def __init__(
         self,

@@ -74,12 +74,15 @@ class Runtime:
         """``yield runtime.sleep(ms)`` — a plain virtual-time delay."""
         return self.timer(delay_ms, name="sleep").wait()
 
-    def compute(self, cost_ms: float, name: str = "compute") -> WaitDescriptor:
+    def compute(self, cost_ms: float, name: str = "compute") -> CpuEvent:
         """``yield runtime.compute(ms)`` — occupy this node's CPU queue.
 
         This is how handler processing cost is charged: the coroutine is
         delayed by queueing + service time on the (possibly throttled) CPU.
+        The return value is for yielding: the :class:`CpuEvent` itself (an
+        untimed wait), already on the CPU's queue.
         """
-        if self.cpu is None:
+        cpu = self.cpu
+        if cpu is None:
             raise RuntimeError(f"runtime {self.node!r} has no CPU resource")
-        return CpuEvent(self.cpu, cost_ms, name=name, source=self.node).wait()
+        return CpuEvent(cpu, cost_ms, name, self.node)

@@ -2,8 +2,8 @@
 
 Each runtime instance has one scheduler "in charge of suspending and
 resuming the execution of all coroutines" (§3.3). Scheduling is
-cooperative: a coroutine runs until it yields a wait descriptor (or
-returns), so there is no preemption — slow *CPU work* is modelled
+cooperative: a coroutine runs until it yields a wait descriptor or an
+event (or returns), so there is no preemption — slow *CPU work* is modelled
 explicitly through :class:`~repro.events.basic.CpuEvent`, not by letting a
 coroutine spin.
 """
@@ -164,19 +164,29 @@ class Scheduler:
             coro.gen.close()
             return
         kernel = self.kernel
-        if yielded.__class__ is not WaitDescriptor:
-            if yielded is YIELD:
-                kernel.call_soon(self._step, coro, None)
-                return
+        # What was yielded: a descriptor (event + optional timeout), a bare
+        # event (an untimed wait, no descriptor built), the YIELD sentinel,
+        # or something as_wait() must normalise or refuse.
+        timeout_ms = None
+        if yielded.__class__ is WaitDescriptor:
+            event = yielded.event
+            timeout_ms = yielded.timeout_ms
+        elif isinstance(yielded, Event):
+            event = yielded
+        elif yielded is YIELD:
+            kernel.call_soon(self._step, coro, None)
+            return
+        else:
             yielded = as_wait(yielded)
+            event = yielded.event
+            timeout_ms = yielded.timeout_ms
         # Park the coroutine: timeout timer first, then the subscription,
         # which resumes at once (through call_soon) if the event is ready.
-        event = yielded.event
         coro.state = _WAITING
         coro.wait_count += 1
         pending = _PendingWait(self, coro, event, kernel.now)
-        if yielded.timeout_ms is not None:
-            pending.timer = kernel.schedule(yielded.timeout_ms, pending.on_timeout)
+        if timeout_ms is not None:
+            pending.timer = kernel.schedule(timeout_ms, pending.on_timeout)
         event.subscribe(pending.on_trigger)
 
     def _finish(self, coro: Coroutine, result: Any) -> None:

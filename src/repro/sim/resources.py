@@ -16,14 +16,16 @@ injection throttles:
 * :class:`NicResource` — per-node extra packet delay (network slow:
   ``tc netem delay 400ms``).
 
-Resources are callback-based (this is the sim layer); the DepFast event
-layer wraps completions into waitable events.
+Resources serve *jobs* and know nothing of coroutines (this is the sim
+layer): :meth:`_FifoResource.submit` takes a completion callback, and the
+DepFast event layer's ``CpuEvent`` / ``DiskEvent`` queue themselves as jobs
+whose completion is the event's trigger.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.sim.kernel import Kernel, ScheduledCall
 
@@ -33,7 +35,14 @@ class OutOfMemoryError(RuntimeError):
 
 
 class ResourceJob:
-    """A unit of work queued on a FIFO resource."""
+    """A unit of work queued on a FIFO resource, with a completion callback.
+
+    This is the callback-style job :meth:`_FifoResource.submit` hands out.
+    A resource serves anything *job-shaped* — ``cost``, ``remaining``,
+    ``started_at``, ``done``, ``cancelled`` and :meth:`finished` — and the
+    event layer's ``CpuEvent`` / ``DiskEvent`` are job-shaped themselves,
+    so a compute or a disk op is one object, not an event plus one of these.
+    """
 
     __slots__ = ("cost", "on_done", "started_at", "remaining", "done", "cancelled", "label")
 
@@ -45,6 +54,16 @@ class ResourceJob:
         self.done = False
         self.cancelled = False
         self.label = label
+
+    def finished(self, now: float) -> None:
+        """The resource completed this job: fire the callback, once.
+
+        The callback usually belongs to whoever holds the job; taking it
+        out of the job first is what lets both die by reference count.
+        """
+        on_done, self.on_done = self.on_done, None
+        if on_done is not None:
+            on_done()
 
     def cancel(self) -> None:
         """Drop the job if it has not completed; its callback never fires."""
@@ -58,17 +77,19 @@ class ResourceJob:
 class _FifoResource:
     """Shared machinery: FIFO service queue with a mutable service rate.
 
-    Subclasses define :meth:`effective_rate` (work units per virtual ms) and
-    optionally a fixed per-job setup latency. When the rate changes while a
-    job is in service (a fault was injected or cleared), the in-flight job
-    is re-timed based on the work it has already completed.
+    Subclasses define :meth:`effective_rate` (work units per virtual ms);
+    the disk also pays a fixed per-job setup latency before service. When
+    the rate changes while a job is in service (a fault was injected or
+    cleared), the in-flight job is re-timed based on the work it has
+    already completed.
     """
 
     def __init__(self, kernel: Kernel, name: str = ""):
         self.kernel = kernel
         self.name = name
-        self._queue: Deque[ResourceJob] = deque()
-        self._current: Optional[ResourceJob] = None
+        # Anything job-shaped: ResourceJob, CpuEvent, DiskEvent.
+        self._queue: Deque[Any] = deque()
+        self._current: Optional[Any] = None
         self._completion: Optional[ScheduledCall] = None
         self._rate_at_start = 0.0
         self._busy_ms = 0.0
@@ -78,10 +99,6 @@ class _FifoResource:
     def effective_rate(self) -> float:
         raise NotImplementedError
 
-    def setup_latency(self, job: ResourceJob) -> float:
-        """Fixed latency paid before service begins (e.g. disk seek)."""
-        return 0.0
-
     # -- public API ----------------------------------------------------
     def submit(
         self, cost: float, on_done: Optional[Callable[[], None]] = None, label: str = ""
@@ -90,13 +107,22 @@ class _FifoResource:
         if cost < 0:
             raise ValueError(f"negative job cost {cost}")
         job = ResourceJob(cost, on_done, label)
+        self.enqueue(job)
+        return job
+
+    def enqueue(self, job: Any) -> None:
+        """Queue a job-shaped object; it is told ``finished(now)`` when served.
+
+        The one way in: :meth:`submit` wraps a callback in a
+        :class:`ResourceJob` first, the event layer's ``CpuEvent`` /
+        ``DiskEvent`` enqueue themselves.
+        """
         if self._current is None:
             # Idle (so nothing is queued either): straight into service.
             self._busy_since = self.kernel.now
             self._serve(job)
         else:
             self._queue.append(job)
-        return job
 
     def queue_depth(self) -> int:
         """Jobs waiting or in service (cancelled jobs excluded)."""
@@ -141,19 +167,7 @@ class _FifoResource:
             self._busy_ms += self.kernel.now - self._busy_since
             self._busy_since = None
 
-    def _serve(self, job: ResourceJob) -> None:
-        self._current = job
-        setup = self.setup_latency(job)
-        if setup > 0:
-            # Setup time is rate-independent; model it as a delay before
-            # service starts so bandwidth faults do not inflate it.
-            job.started_at = self.kernel.now + setup
-            self._rate_at_start = 0.0
-            self._completion = self.kernel.schedule(setup, self._begin_service, job)
-        else:
-            self._begin_service(job)
-
-    def _begin_service(self, job: ResourceJob) -> None:
+    def _begin_service(self, job: Any) -> None:
         if job.cancelled:
             self._current = None
             self._start_next()
@@ -161,23 +175,33 @@ class _FifoResource:
         rate = self.effective_rate()
         if rate <= 0:
             raise ValueError(f"resource {self.name!r} has non-positive rate {rate}")
-        job.started_at = self.kernel.now
+        kernel = self.kernel
+        self._current = job
+        job.started_at = kernel.now
         self._rate_at_start = rate
-        duration = job.remaining / rate
-        self._completion = self.kernel.schedule(duration, self._finish, job)
+        self._completion = kernel.schedule(job.remaining / rate, self._finish, job)
 
-    def _finish(self, job: ResourceJob) -> None:
-        self._current = None
-        self._completion = None
+    # Taking a job into service. There is no setup stage here, so that is
+    # beginning its service; DiskResource puts its per-op latency in front.
+    _serve = _begin_service
+
+    def _finish(self, job: Any) -> None:
         job.remaining = 0.0
         job.done = True
-        # The callback usually belongs to whoever holds the job (a
-        # CpuEvent / DiskEvent): taking it out of the job is what lets
-        # both die by reference count.
-        on_done, job.on_done = job.on_done, None
-        self._start_next()
-        if on_done is not None:
-            on_done()
+        # The next job starts before this one's owner hears of it, so the
+        # successor's completion is scheduled ahead of whatever the owner
+        # does at this instant.
+        now = self.kernel.now
+        if self._queue:
+            self._start_next()
+        else:
+            # Nothing waiting: go idle here rather than through a call
+            # that would find the queue empty (most completions do).
+            self._current = None
+            self._completion = None
+            self._busy_ms += now - self._busy_since
+            self._busy_since = None
+        job.finished(now)
 
 
 class CpuResource(_FifoResource):
@@ -208,7 +232,8 @@ class CpuResource(_FifoResource):
     def effective_rate(self) -> float:
         share_frac = self.own_share / (self.own_share + self.contender_share)
         rate = self.base_rate * self.quota * share_frac * self.jitter_factor
-        return rate / max(self.penalty, 1e-9)
+        penalty = self.penalty
+        return rate / (penalty if penalty > 1e-9 else 1e-9)
 
     def set_quota(self, quota: float) -> None:
         """cgroup-style CPU quota in [0, 1]; 1.0 means unthrottled."""
@@ -267,8 +292,21 @@ class DiskResource(_FifoResource):
         bytes_per_ms = self.bandwidth_mbps * 1000.0
         return bytes_per_ms * self.cap_fraction * (1.0 - self.contender_load)
 
-    def setup_latency(self, job: ResourceJob) -> float:
+    def setup_latency(self, job: Any) -> float:
+        """Fixed latency paid before service begins (seek, command overhead)."""
         return self.op_latency_ms
+
+    def _serve(self, job: Any) -> None:
+        self._current = job
+        setup = self.setup_latency(job)
+        if setup > 0:
+            # Setup time is rate-independent; model it as a delay before
+            # service starts so bandwidth faults do not inflate it.
+            job.started_at = self.kernel.now + setup
+            self._rate_at_start = 0.0
+            self._completion = self.kernel.schedule(setup, self._begin_service, job)
+        else:
+            self._begin_service(job)
 
     def set_cap_fraction(self, fraction: float) -> None:
         """blkio-style bandwidth cap in (0, 1]."""

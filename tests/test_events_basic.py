@@ -198,6 +198,50 @@ class TestDiskAndCpuEvents:
         with pytest.raises(EventError):
             CpuEvent(CpuResource(Kernel()), -1.0)
 
+    # The event is the job: it sits on the resource's queue itself, and
+    # cancelling it is what cancelling its ResourceJob used to be.
+    def test_cpu_event_cancelled_while_queued_is_skipped_and_never_triggers(self):
+        kernel = Kernel()
+        cpu = CpuResource(kernel, base_rate=1.0)
+        first = CpuEvent(cpu, 5.0)
+        skipped = CpuEvent(cpu, 5.0)
+        last = CpuEvent(cpu, 5.0)
+        assert cpu.queue_depth() == 3
+        skipped.cancel()
+        assert cpu.queue_depth() == 2
+        kernel.run_until_idle()
+        assert first.triggered_at == 5.0
+        assert not skipped.ready() and skipped.started_at is None and not skipped.done
+        assert last.triggered_at == 10.0  # no CPU time went to the skipped one
+
+    def test_cpu_event_cancelled_in_service_holds_the_cpu_until_its_completion_time(self):
+        kernel = Kernel()
+        cpu = CpuResource(kernel, base_rate=1.0)
+        abandoned = CpuEvent(cpu, 5.0)
+        following = CpuEvent(cpu, 5.0)
+        kernel.run(until_ms=2.0)
+        abandoned.cancel()
+        assert cpu.queue_depth() == 1  # in service still, but nobody waits for it
+        kernel.run(until_ms=5.0)
+        assert abandoned.done and not abandoned.ready()
+        assert following.started_at == 5.0
+        kernel.run_until_idle()
+        assert not abandoned.ready()
+        assert following.triggered_at == 10.0
+
+    def test_reconfigure_mid_service_completes_an_event_job_exactly_once(self):
+        kernel = Kernel()
+        cpu = CpuResource(kernel, base_rate=1.0)
+        event = CpuEvent(cpu, 10.0)
+        fired_at = []
+        event.subscribe(lambda ev: fired_at.append(kernel.now))
+        kernel.schedule(5.0, cpu.set_quota, 0.5)
+        kernel.schedule(7.0, cpu.set_quota, 1.0)
+        kernel.run_until_idle()
+        assert fired_at == [pytest.approx(11.0)]
+        assert event.done and event.remaining == 0.0
+        assert kernel.pending() == 0 and cpu.queue_depth() == 0
+
 
 def test_never_event_stays_pending():
     kernel = Kernel()

@@ -77,6 +77,28 @@ class TestRpcRoundtrip:
         with pytest.raises(RpcError):
             cluster.run(until_ms=1000.0)
 
+    def test_unknown_method_fails_its_handler_coroutine_and_nothing_else(self):
+        cluster, nodes = make_cluster(2)
+        server, client = nodes
+        server.endpoint.register("echo", echo_handler(server.runtime))
+        for node in nodes:
+            node.start()
+        failed = []
+        server.runtime.scheduler.on_error = failed.append
+        replies = []
+
+        def caller():
+            client.endpoint.call("s1", "nope", None)
+            event = client.endpoint.call("s1", "echo", "still served")
+            yield event.wait(100.0)
+            replies.append(event.reply)
+
+        client.runtime.spawn(caller())
+        cluster.run(until_ms=1000.0)
+        (coro,) = failed
+        assert coro.name == "s1:nope" and isinstance(coro.exception, RpcError)
+        assert replies == [{"echo": "still served", "from": "s1"}]
+
     def test_duplicate_handler_rejected(self):
         cluster, nodes = make_cluster(1)
         nodes[0].endpoint.register("m", echo_handler(nodes[0].runtime))

@@ -139,8 +139,9 @@ class TestLifetimes:
         rt.spawn(task())
         rt.kernel.run_until_idle()
         # Between the computes only the resumed wait's result still names
-        # the first event (the frame drops it at the next resume).
-        assert seen == [(1, 1)]
+        # the first event (the frame drops it at the next resume). There is
+        # no ResourceJob at all: the CpuEvent is the job on the CPU's queue.
+        assert seen == [(1, 0)]
         assert live(CpuEvent, ResourceJob) == 0
         assert rt.kernel.now == 2.0
 
