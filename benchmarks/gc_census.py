@@ -7,7 +7,8 @@ process of its own and set up exactly like ``perf/episode.py`` (build,
 * collector **off** for the episode — ``gc.collect()`` afterwards returns
   the number of objects only a collector pass could free (reference
   cycles); what is still tracked after it is what the run retains, by
-  type, plus the RPC layer's never-answered ``_pending`` entries;
+  type, plus the RPC layer's never-answered ``_pending`` entries and the
+  wait log's size (records, distinct shapes, bytes in its two columns);
 * collector **on** — ``gc.callbacks`` time every pass by generation.
 
 Counts are exact for a seed; seconds are this machine's. Prints a table:
@@ -53,11 +54,14 @@ def census_collector_off(name: str, seed: int) -> dict:
     from repro.net.rpc import RpcEndpoint
 
     endpoints = [obj for obj in gc.get_objects() if isinstance(obj, RpcEndpoint)]
+    log = scenario.cluster.tracer.records
     return {
         "acked": result["acked"],
         "events": result["events"],
         "trace_hash": result["trace_hash"],
-        "wait_records": len(scenario.cluster.tracer.records),
+        "wait_records": len(log),
+        "wait_shapes": len(log.shapes),
+        "wait_log_bytes": sys.getsizeof(log.shape_of) + sys.getsizeof(log.times),
         "unreachable": unreachable,
         "retained": sum(retained.values()),
         "retained_by_type": dict(retained.most_common(TOP_TYPES)),
@@ -109,7 +113,10 @@ def main(argv=None) -> int:
         gc_s = sum(on["gc_s"])
         print(
             f"{name}: acked {off['acked']}  events {off['events']}  "
-            f"wait_records {off['wait_records']}  trace_hash {off['trace_hash'][:12]}"
+            f"wait_records {off['wait_records']}  wait_shapes {off['wait_shapes']}  "
+            f"wait_log_bytes {off['wait_log_bytes']}"
+            f" ({off['wait_log_bytes'] / max(1, off['wait_records']):.1f} per wait)"
+            f"  trace_hash {off['trace_hash'][:12]}"
         )
         print(
             f"  collector off: unreachable {off['unreachable']}  retained {off['retained']}"

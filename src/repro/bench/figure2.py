@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.bench.experiments import ExperimentParams
 from repro.cluster.cluster import Cluster
 from repro.raft.config import RaftConfig
 from repro.raft.service import deploy_depfast_raft
-from repro.trace.spg import build_spg, quorum_edges, render_spg, single_wait_edges
+from repro.trace.spg import Spg, build_spg, quorum_edges, render_spg, single_wait_edges
 from repro.trace.verify import ToleranceReport, check_fail_slow_tolerance
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.ycsb import YcsbWorkload
@@ -31,7 +29,7 @@ SHARDS: List[List[str]] = [
 
 @dataclass
 class Figure2Result:
-    graph: nx.DiGraph
+    graph: Spg
     tolerance: ToleranceReport
     green_edges: List[Tuple[str, str]]
     red_edges: List[Tuple[str, str]]

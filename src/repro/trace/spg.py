@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
-
-from repro.trace.tracepoints import WaitRecord
+from repro.trace.records import WaitRecord
 
 # Kinds that merely combine other waits ("and"/"or"): their wait_edges()
 # recursively defer to grandchildren, so edge color is decided per edge.
@@ -56,6 +54,37 @@ class SpgEdge:
         )
 
 
+class _Edges(dict):
+    """``(src, dst) -> data`` in insertion order; called, the ``(src, dst, data)`` list."""
+
+    def __call__(self, data: bool = True) -> List[Tuple[str, str, dict]]:
+        return [(src, dst, attrs) for (src, dst), attrs in self.items()]
+
+
+class Spg:
+    """A small digraph: nodes in insertion order, one data dict per edge."""
+
+    def __init__(self) -> None:
+        self.nodes: Dict[str, None] = {}
+        self.edges = _Edges()
+
+    def add_node(self, node: str) -> None:
+        self.nodes[node] = None
+
+    def add_edge(self, src: str, dst: str, **data) -> None:
+        self.nodes[src] = self.nodes[dst] = None
+        self.edges[(src, dst)] = data
+
+    def has_node(self, node: str) -> bool:
+        return node in self.nodes
+
+    def number_of_nodes(self) -> int:
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        return len(self.edges)
+
+
 def _edge_color(record: WaitRecord, k: int, n: int) -> str:
     """Green iff the wait tolerates at least one slow source.
 
@@ -71,7 +100,7 @@ def _edge_color(record: WaitRecord, k: int, n: int) -> str:
     return "green" if k < n else "red"
 
 
-def build_spg(records: Iterable[WaitRecord]) -> nx.DiGraph:
+def build_spg(records: Iterable[WaitRecord]) -> Spg:
     """Aggregate wait records into the node-granularity SPG.
 
     Vertices are nodes (servers and clients); each directed edge carries:
@@ -83,7 +112,7 @@ def build_spg(records: Iterable[WaitRecord]) -> nx.DiGraph:
     since one single-event wait is enough to propagate slowness.
     """
     edges: Dict[Tuple[str, str], SpgEdge] = {}
-    graph = nx.DiGraph()
+    graph = Spg()
     for record in records:
         if record.node is None:
             continue
@@ -105,7 +134,10 @@ def build_spg(records: Iterable[WaitRecord]) -> nx.DiGraph:
             edge.add_label(f"{k}/{n}")
             edge.count += 1
             edge.total_wait_ms += record.waited_ms
-    for (src, dst), edge in edges.items():
+    # Edges go in grouped by waiter, waiters in first-seen order: readers
+    # that sum floats over ``edges(data=True)`` keep the order they had.
+    rank = {node: index for index, node in enumerate(graph.nodes)}
+    for (src, dst), edge in sorted(edges.items(), key=lambda item: rank[item[0][0]]):
         graph.add_edge(
             src,
             dst,
@@ -117,7 +149,7 @@ def build_spg(records: Iterable[WaitRecord]) -> nx.DiGraph:
     return graph
 
 
-def single_wait_edges(graph: nx.DiGraph) -> List[Tuple[str, str]]:
+def single_wait_edges(graph: Spg) -> List[Tuple[str, str]]:
     """The red edges: places where one fail-slow node stalls another."""
     return [
         (src, dst)
@@ -126,7 +158,7 @@ def single_wait_edges(graph: nx.DiGraph) -> List[Tuple[str, str]]:
     ]
 
 
-def quorum_edges(graph: nx.DiGraph) -> List[Tuple[str, str]]:
+def quorum_edges(graph: Spg) -> List[Tuple[str, str]]:
     return [
         (src, dst)
         for src, dst, data in graph.edges(data=True)
@@ -134,7 +166,7 @@ def quorum_edges(graph: nx.DiGraph) -> List[Tuple[str, str]]:
     ]
 
 
-def render_spg(graph: nx.DiGraph) -> str:
+def render_spg(graph: Spg) -> str:
     """ASCII rendering of the SPG, one edge per line, red edges flagged."""
     lines = ["SPG: {} nodes, {} edges".format(graph.number_of_nodes(), graph.number_of_edges())]
     for src, dst, data in sorted(graph.edges(data=True)):

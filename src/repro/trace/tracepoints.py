@@ -1,7 +1,8 @@
 """Event trace points: the scheduler-facing instrumentation.
 
-A :class:`Tracer` receives the scheduler's hooks and materializes one
-:class:`WaitRecord` per completed wait. Records carry the waiting
+A :class:`Tracer` receives the scheduler's hooks and logs every completed
+wait; ``tracer.records`` (a :class:`repro.trace.records.WaitLog`) reads
+back as one :class:`WaitRecord` per wait. Records carry the waiting
 coroutine's node, the event's kind, and the event's *wait edges* — the
 ``(source, k, n)`` dependencies read off the event when the wait ends —
 which is all the SPG and the tolerance checker need.
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.events.base import Event, WaitEdges
+from repro.events.base import Event
 from repro.sim.kernel import Kernel
+from repro.trace.records import WaitLog, WaitRecord
 
 
 class QuorumArrival:
@@ -48,61 +50,6 @@ class QuorumArrival:
         return f"<QuorumArrival {self.caller}->{self.peer} {status}/{self.n_targets}>"
 
 
-class WaitRecord:
-    """One completed (or timed-out) wait by one coroutine."""
-
-    __slots__ = (
-        "coro_name",
-        "node",
-        "event_kind",
-        "event_name",
-        "edges",
-        "started_at",
-        "ended_at",
-        "timed_out",
-        "dedication",
-    )
-
-    def __init__(
-        self,
-        coro_name: str,
-        node: Optional[str],
-        event_kind: str,
-        event_name: str,
-        edges: WaitEdges,
-        started_at: float,
-        ended_at: float,
-        timed_out: bool,
-        dedication: Optional[str] = None,
-    ):
-        self.coro_name = coro_name
-        self.node = node
-        self.event_kind = event_kind
-        self.event_name = event_name
-        self.edges = edges
-        self.started_at = started_at
-        self.ended_at = ended_at
-        self.timed_out = timed_out
-        # The waiting coroutine's dedication (see Coroutine): waits by a
-        # per-peer stream on its own peer are exempt from the tolerance
-        # check because their impact radius is that peer alone.
-        self.dedication = dedication
-
-    @property
-    def waited_ms(self) -> float:
-        return self.ended_at - self.started_at
-
-    def is_inter_node(self) -> bool:
-        """True if any dependency crosses to a different node."""
-        return any(source != self.node for source, _k, _n in self.edges)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<WaitRecord {self.node}/{self.coro_name} on {self.event_kind} "
-            f"{self.waited_ms:.2f}ms edges={self.edges}>"
-        )
-
-
 class Tracer:
     """Collects wait records from every runtime in a cluster.
 
@@ -113,7 +60,7 @@ class Tracer:
     def __init__(self, kernel: Kernel, enabled: bool = True):
         self.kernel = kernel
         self.enabled = enabled
-        self.records: List[WaitRecord] = []
+        self.records = WaitLog()
         # (caller_node, callee_node, method, latency_ms, completed_at):
         # per-RPC latencies reported by the RPC layer. Unlike wait records
         # these cover *every* reply — including replies from quorum
@@ -146,12 +93,25 @@ class Tracer:
     def on_wait(self, coro, event: Event, started_at: float, now: float, timed_out: bool) -> None:
         """One finished wait, start and end in one call (the scheduler's hook)."""
         if self.enabled:
-            self.records.append(
-                WaitRecord(
-                    coro.name, coro.node, event.kind, event.name, event.wait_edges(),
-                    started_at, now, timed_out, coro.dedication,
-                )
+            # Edges are read now, at wait end: a quorum child added later must
+            # not change what this wait is recorded to have depended on.
+            shape = (
+                coro.name, coro.node, event.kind, event.name, event.wait_edges(),
+                timed_out, coro.dedication,
             )
+            log = self.records
+            try:
+                index = log.shape_ids[shape]
+            except KeyError:
+                index = log.shape_ids[shape] = len(log.shapes)
+                log.shapes.append(shape)
+            except TypeError:
+                raise TypeError(
+                    f"{event!r}.wait_edges() is not WaitEdges (a tuple of tuples): {shape[4]!r}"
+                ) from None
+            log.shape_of.append(index)
+            log.times.append(started_at)
+            log.times.append(now)
 
     def on_wait_start(self, coro, event: Event, now: float, timeout_ms) -> None:
         """With :meth:`on_wait_end`, the two-call form of :meth:`on_wait` for
@@ -270,6 +230,3 @@ class Tracer:
     # ------------------------------------------------------------------
     def waits_from(self, node: str) -> List[WaitRecord]:
         return [record for record in self.records if record.node == node]
-
-    def inter_node_waits(self) -> List[WaitRecord]:
-        return [record for record in self.records if record.is_inter_node()]
