@@ -7,8 +7,10 @@ process of its own and set up exactly like ``perf/episode.py`` (build,
 * collector **off** for the episode — ``gc.collect()`` afterwards returns
   the number of objects only a collector pass could free (reference
   cycles); what is still tracked after it is what the run retains, by
-  type, plus the RPC layer's never-answered ``_pending`` entries and the
-  wait log's size (records, distinct shapes, bytes in its two columns);
+  type, plus the RPC layer's never-answered ``_pending`` entries, the
+  wait log's size (records, distinct shapes, bytes in its two columns),
+  the RPC / fsync row logs' (rows, distinct keys, bytes), the durable
+  stores' two columns summed over nodes and the entry caches' cut pairs;
 * collector **on** — ``gc.callbacks`` time every pass by generation.
 
 Counts are exact for a seed; seconds are this machine's. Prints a table:
@@ -54,7 +56,10 @@ def census_collector_off(name: str, seed: int) -> dict:
     from repro.net.rpc import RpcEndpoint
 
     endpoints = [obj for obj in gc.get_objects() if isinstance(obj, RpcEndpoint)]
-    log = scenario.cluster.tracer.records
+    tracer = scenario.cluster.tracer
+    log, rpcs = tracer.records, tracer.rpc_latencies
+    rafts = scenario._raft_objects
+    durables = {id(raft.durable): raft.durable for raft in rafts}.values()
     return {
         "acked": result["acked"],
         "events": result["events"],
@@ -62,6 +67,12 @@ def census_collector_off(name: str, seed: int) -> dict:
         "wait_records": len(log),
         "wait_shapes": len(log.shapes),
         "wait_log_bytes": sys.getsizeof(log.shape_of) + sys.getsizeof(log.times),
+        "rpc_rows": len(rpcs),
+        "rpc_keys": len(rpcs.shapes),
+        "rpc_log_bytes": sys.getsizeof(rpcs.shape_of) + sys.getsizeof(rpcs.times),
+        "fsync_rows": len(tracer.fsync_latencies),
+        "durable_bytes": sum(sys.getsizeof(d._log) + sys.getsizeof(d._seqs) for d in durables),
+        "cache_cuts": sum(len(raft.log._cuts) for raft in rafts),
         "unreachable": unreachable,
         "retained": sum(retained.values()),
         "retained_by_type": dict(retained.most_common(TOP_TYPES)),
@@ -122,6 +133,11 @@ def main(argv=None) -> int:
             f"  collector off: unreachable {off['unreachable']}  retained {off['retained']}"
             f"  ({off['retained'] / max(1, off['wait_records']):.2f} per wait record)"
             f"  rpc_pending {off['rpc_pending']}"
+        )
+        print(
+            f"  rpc_rows {off['rpc_rows']}  rpc_keys {off['rpc_keys']}"
+            f"  rpc_log_bytes {off['rpc_log_bytes']}  fsync_rows {off['fsync_rows']}"
+            f"  durable_bytes {off['durable_bytes']}  cache_cuts {off['cache_cuts']}"
         )
         print("  retained by type: " + "  ".join(f"{k} {v}" for k, v in off["retained_by_type"].items()))
         print(

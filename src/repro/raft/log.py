@@ -1,10 +1,17 @@
 """The Raft log: in-memory entries, entry cache, and log compaction.
 
-The simulation keeps live entries in memory (state is cheap); the
-:class:`~repro.storage.entry_cache.EntryCache` decides whether *reading*
-an old entry is free (cache hit) or costs a disk read (miss) — the
-distinction at the heart of the TiDB root cause and of DepFastRaft's
-non-blocking repair path.
+The simulation keeps live entries in memory (state is cheap); a TiDB-style
+entry cache of the ``cache_entries`` most recently appended indices decides
+whether *reading* an old entry is free (cache hit) or costs a disk read
+(miss) — the distinction at the heart of the TiDB root cause and of
+DepFastRaft's non-blocking repair path.
+
+The cache holds no copy: appends are its only puts and always land at
+``last_index() + 1``, so every index appended after a live index *i* lies in
+(i, H], where H is the larger of ``last_index()`` and the highest index cut
+by a truncation made since *i* was appended. *i* hits iff ``H - i <
+cache_entries``; one ``(first cut, highest cut)`` pair per truncation is
+all the bookkeeping that needs.
 
 Compaction gives the log a *base*: everything at or below ``base_index``
 has been folded into a snapshot. Entries are then 1-based above the base;
@@ -16,16 +23,22 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.raft.types import LogEntry
-from repro.storage.entry_cache import EntryCache
+from repro.raft.types import LogEntry, entries_size
 
 
 class RaftLog:
     """Append-only log with term queries, conflict truncation, compaction."""
 
     def __init__(self, cache_entries: int = 4096):
+        if cache_entries < 1:
+            raise ValueError("cache must hold at least one entry")
         self._entries: List[LogEntry] = []
-        self.cache = EntryCache(max_entries=cache_entries)
+        self.cache_entries = cache_entries
+        self.cache_hits = 0
+        self.cache_misses = 0
+        # (first cut, highest cut) per truncate_from, ascending; a cut merges
+        # every pair at or above its first index (see the module docstring).
+        self._cuts: List[Tuple[int, int]] = []
         # Snapshot boundary: indices <= base_index live in the snapshot.
         self.base_index = 0
         self.base_term = 0
@@ -70,7 +83,6 @@ class RaftLog:
         if entry.index != expected:
             raise ValueError(f"appending index {entry.index}, expected {expected}")
         self._entries.append(entry)
-        self.cache.put(entry.index, entry)
 
     def truncate_from(self, index: int) -> int:
         """Drop entries at ``index`` and beyond; returns how many dropped."""
@@ -78,6 +90,11 @@ class RaftLog:
             raise ValueError(f"cannot truncate into the snapshot (base={self.base_index})")
         offset = index - self.base_index - 1
         dropped = max(0, len(self._entries) - offset)
+        if dropped:
+            cuts, highest = self._cuts, self.last_index()
+            while cuts and cuts[-1][0] >= index:
+                highest = max(highest, cuts.pop()[1])
+            cuts.append((index, highest))
         del self._entries[offset:]
         return dropped
 
@@ -121,6 +138,7 @@ class RaftLog:
         new_base_term = self.term_at(new_base_index)
         dropped = new_base_index - self.base_index
         del self._entries[:dropped]
+        self._cuts = [cut for cut in self._cuts if cut[0] > new_base_index]
         self.base_index = new_base_index
         self.base_term = new_base_term if new_base_term is not None else 0
         return dropped
@@ -128,6 +146,7 @@ class RaftLog:
     def reset_to_snapshot(self, last_index: int, last_term: int) -> None:
         """Replace the whole log with a received snapshot boundary."""
         self._entries.clear()
+        self._cuts.clear()
         self.base_index = last_index
         self.base_term = last_term
 
@@ -155,14 +174,24 @@ class RaftLog:
         granular random reads) on top of the miss count.
         """
         entries = self.slice(first, last)
-        disk_bytes = 0
+        # H - i falls as i rises, so the misses are a prefix of the slice.
         misses = 0
         for entry in entries:
-            hit, _cached = self.cache.get(entry.index)
-            if not hit:
-                disk_bytes += entry.size_bytes
-                misses += 1
-        return entries, disk_bytes, misses
+            if not self._evicted(entry.index):
+                break
+            misses += 1
+        self.cache_misses += misses
+        self.cache_hits += len(entries) - misses
+        return entries, entries_size(entries[:misses]), misses
+
+    def _evicted(self, index: int) -> bool:
+        """Live ``index`` has fallen out of the entry cache."""
+        highest = self.last_index()
+        for cut_first, cut_highest in reversed(self._cuts):
+            if cut_first <= index:
+                break
+            highest = max(highest, cut_highest)
+        return highest - index >= self.cache_entries
 
     def matches(self, prev_index: int, prev_term: int) -> bool:
         """Raft's log-matching check for an incoming AppendEntries.

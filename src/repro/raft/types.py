@@ -36,7 +36,7 @@ def is_conf_change(op) -> bool:
     return bool(op) and op[0] == CONF_CHANGE_OP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One replicated command."""
 

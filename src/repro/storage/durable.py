@@ -29,13 +29,15 @@ side table is needed to keep a stale completion from over-reporting what
 is on disk.
 
 The Raft callers keep the retained indices one contiguous run starting at
-``snapshot_index + 1``; truncation, compaction and recovery rely on it to
-touch only the entries they remove.
+``snapshot_index + 1``, so the store is two columns from there: the entries
+and their staging seqs. Staging anywhere but inside the run or right after
+it raises; truncation, compaction and recovery touch only what they remove.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from array import array
+from typing import Any, List, Optional
 
 
 class DurableRaftState:
@@ -51,10 +53,11 @@ class DurableRaftState:
         self.snapshot_index = 0
         self.snapshot_term = 0
         self.snapshot: Optional[dict] = None
-        # Log entries: index -> (entry, staging seq). Entries are generic
-        # objects with .index/.term attributes to avoid an import cycle
-        # with repro.raft.types.
-        self._entries: Dict[int, Tuple[Any, int]] = {}
+        # The retained run: ``_log[i]`` is index ``snapshot_index + 1 + i``
+        # and ``_seqs[i]`` its staging seq. Entries are generic objects with
+        # .index/.term attributes to avoid an import cycle with repro.raft.types.
+        self._log: List[Any] = []
+        self._seqs = array("q")
         self._seq = 0  # last staging sequence handed out
         self._durable_seq = 0  # highest seq a completed fsync covered
         self.recoveries = 0
@@ -76,12 +79,24 @@ class DurableRaftState:
         Mirrors the follower's ``append_or_overwrite``: a conflicting term
         at some index invalidates everything from that index on.
         """
+        log, seqs = self._log, self._seqs
         for entry in entries:
-            existing = self._entries.get(entry.index)
-            if existing is not None and existing[0].term != entry.term:
+            offset = entry.index - self.snapshot_index - 1
+            if offset != len(log):
+                if not 0 <= offset < len(log):
+                    raise ValueError(
+                        f"{self.node_id}: cannot stage index {entry.index} outside the "
+                        f"retained run {self.snapshot_index + 1}..{self.snapshot_index + len(log)}"
+                    )
+                if log[offset].term == entry.term:  # re-staged: fresh bytes, same slot
+                    self._seq += 1
+                    log[offset] = entry
+                    seqs[offset] = self._seq
+                    continue
                 self._drop_from(entry.index)
             self._seq += 1
-            self._entries[entry.index] = (entry, self._seq)
+            log.append(entry)
+            seqs.append(self._seq)
 
     def begin_sync(self) -> int:
         """The token of an fsync about to start: it covers all staged so far.
@@ -101,11 +116,11 @@ class DurableRaftState:
 
     def _drop_from(self, index: int) -> int:
         """Delete the retained run from ``index`` up; returns its length."""
-        first = index
-        while index in self._entries:
-            del self._entries[index]
-            index += 1
-        return index - first
+        offset = index - self.snapshot_index - 1
+        dropped = len(self._log) - offset
+        del self._log[offset:]
+        del self._seqs[offset:]
+        return dropped
 
     # ------------------------------------------------------------------
     # Snapshot + compaction
@@ -114,16 +129,17 @@ class DurableRaftState:
         """Persist a state-machine snapshot and drop covered log entries."""
         if last_index < self.snapshot_index:
             return  # stale
-        for index in range(self.snapshot_index + 1, last_index + 1):
-            if self._entries.pop(index, None) is None:
-                break  # the retained run ends below the new boundary
+        covered = last_index - self.snapshot_index
+        del self._log[:covered]
+        del self._seqs[:covered]
         self.snapshot_index = last_index
         self.snapshot_term = last_term
         self.snapshot = state
 
     def clear_log(self) -> None:
         """Drop all log entries (an installed snapshot replaced them)."""
-        self._entries.clear()
+        del self._log[:]
+        del self._seqs[:]
 
     # ------------------------------------------------------------------
     # Recovery
@@ -131,29 +147,27 @@ class DurableRaftState:
     def recovered_entries(self) -> List[Any]:
         """The contiguous durable log suffix above the snapshot, in order.
 
-        Replay stops at the first gap or non-durable entry — bytes past a
-        torn write are unreadable. Anything dropped is counted in
+        Replay stops at the first non-durable entry — bytes past a torn
+        write are unreadable. Anything dropped is counted in
         ``lost_on_recovery``.
         """
-        entries = []
-        index = self.snapshot_index + 1
-        while index in self._entries:
-            entry, seq = self._entries[index]
+        replayed = 0
+        for seq in self._seqs:
             if seq > self._durable_seq:
                 break
-            entries.append(entry)
-            index += 1
-        self.lost_on_recovery += self._drop_from(index)
+            replayed += 1
+        entries = self._log[:replayed]
+        self.lost_on_recovery += self._drop_from(self.snapshot_index + 1 + replayed)
         return entries
 
     def has_state(self) -> bool:
-        return bool(self._entries) or self.snapshot is not None or self.term > 0
+        return bool(self._log) or self.snapshot is not None or self.term > 0
 
     def durable_count(self) -> int:
-        return sum(1 for _e, seq in self._entries.values() if seq <= self._durable_seq)
+        return sum(1 for seq in self._seqs if seq <= self._durable_seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DurableRaftState {self.node_id} term={self.term} "
-            f"snap@{self.snapshot_index} entries={len(self._entries)}>"
+            f"snap@{self.snapshot_index} entries={len(self._log)}>"
         )

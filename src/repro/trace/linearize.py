@@ -40,7 +40,7 @@ class _Absent:
 ABSENT = _Absent()
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One logical client operation, spanning all of its retries."""
 

@@ -1,8 +1,11 @@
-"""Wait records and the column-wise log that keeps them.
+"""Trace rows and the column-wise logs that keep them.
 
 A run finishes ~10^5 waits that fall into a few hundred *shapes* (who
-waited, on what, how it ended), so :class:`WaitLog` interns each shape once
-and keeps a wait as a 4-byte shape index and two floats: no object per wait.
+waited, on what, how it ended), and its RPC / fsync trace points repeat a
+handful of ``(node, peer, method)`` / ``(node,)`` keys. :class:`RowLog`
+interns each shape once and keeps a row as a 4-byte shape index plus its
+numbers in arrays: no object per row. :class:`WaitLog` reads its rows back
+as :class:`WaitRecord`, the other logs as the flat tuples they replaced.
 """
 
 from __future__ import annotations
@@ -74,28 +77,51 @@ class WaitRecord:
         )
 
 
-class WaitLog(Sequence):
-    """Every finished wait of a run, read as a sequence of :class:`WaitRecord`.
+class RowLog(Sequence):
+    """Rows of one kind, read back as a sequence of flat tuples.
 
-    Columns: ``shapes[shape_of[i]]`` is wait *i*'s ``(coro_name, node,
-    event_kind, event_name, edges, timed_out, dedication)``, interned through
-    ``shape_ids``; ``times[2 * i : 2 * i + 2]`` its start and end. The tracer
-    appends to them itself: the wait path's call budget has no room for a
-    method call per wait. Indexing, slicing (a list) and iteration build a
-    fresh record each time — changing one does not write back to the log.
+    Columns: ``shapes[shape_of[i]]`` is row *i*'s repeating part, interned
+    through ``shape_ids``; ``counts[i]`` its integer (``counted`` logs only)
+    and ``times[2 * i : 2 * i + 2]`` its two floats. Row *i* reads back as
+    ``shape + (count,) + times`` (see :meth:`_build`). Indexing, slicing (a
+    list) and iteration build a fresh row each time.
     """
 
-    __slots__ = ("shape_ids", "shapes", "shape_of", "times")
+    __slots__ = ("shape_ids", "shapes", "shape_of", "counts", "times")
 
-    def __init__(self) -> None:
+    def __init__(self, counted: bool = False) -> None:
         self.shape_ids: Dict[tuple, int] = {}
         self.shapes: List[tuple] = []
         self.shape_of = array("I")
+        self.counts = array("q") if counted else None
         self.times = array("d")
 
-    def _record(self, index: int) -> WaitRecord:
+    def add(self, shape: tuple, first: float, second: float, count: Optional[int] = None) -> None:
+        """Append one row: its shape, its two floats and, if counted, its count."""
+        try:
+            index = self.shape_ids[shape]
+        except KeyError:
+            index = self.shape_ids[shape] = len(self.shapes)
+            self.shapes.append(shape)
+        self.shape_of.append(index)
+        if count is not None:
+            self.counts.append(count)
+        times = self.times
+        times.append(first)
+        times.append(second)
+
+    @staticmethod
+    def _build(shape: tuple, *numbers):
+        return shape + numbers
+
+    def _columns(self) -> tuple:
+        times = iter(self.times)
+        return (times, times) if self.counts is None else (iter(self.counts), times, times)
+
+    def _row(self, index: int):
+        counted = () if self.counts is None else (self.counts[index],)
         shape = self.shapes[self.shape_of[index]]
-        return WaitRecord(*shape[:5], *self.times[2 * index : 2 * index + 2], *shape[5:])
+        return self._build(shape, *counted, *self.times[2 * index : 2 * index + 2])
 
     def __len__(self) -> int:
         return len(self.shape_of)
@@ -103,14 +129,29 @@ class WaitLog(Sequence):
     def __getitem__(self, index):
         picked = range(len(self))[index]  # negative, out-of-range and slice handling
         if isinstance(picked, range):
-            return [self._record(i) for i in picked]
-        return self._record(picked)
+            return [self._row(i) for i in picked]
+        return self._row(picked)
 
-    def __iter__(self) -> Iterator[WaitRecord]:
-        times = iter(self.times)  # unpacked by name: build_spg's loop, ~15% faster than *shape
-        rows = zip(map(self.shapes.__getitem__, self.shape_of), times, times)
-        for (name, node, kind, event, edges, timed_out, dedication), start, end in rows:
-            yield WaitRecord(name, node, kind, event, edges, start, end, timed_out, dedication)
+    def __iter__(self) -> Iterator:
+        return map(self._build, map(self.shapes.__getitem__, self.shape_of), *self._columns())
 
     def __eq__(self, other) -> bool:
-        return list(self) == other  # a list of equal records; ``log == []`` reads as before
+        return list(self) == other  # a list of equal rows; ``log == []`` reads as before
+
+
+class WaitLog(RowLog):
+    """Every finished wait of a run, read as a sequence of :class:`WaitRecord`.
+
+    A shape is ``(coro_name, node, event_kind, event_name, edges, timed_out,
+    dedication)`` and the two floats the wait's start and end. The tracer
+    appends to the columns itself: the wait path's call budget has no room
+    for a method call per wait. Changing a record read from the log does not
+    write back to it.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _build(shape: tuple, start: float, end: float) -> WaitRecord:
+        name, node, kind, event, edges, timed_out, dedication = shape
+        return WaitRecord(name, node, kind, event, edges, start, end, timed_out, dedication)

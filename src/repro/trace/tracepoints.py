@@ -10,11 +10,11 @@ which is all the SPG and the tolerance checker need.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.events.base import Event
 from repro.sim.kernel import Kernel
-from repro.trace.records import WaitLog, WaitRecord
+from repro.trace.records import RowLog, WaitLog, WaitRecord
 
 
 class QuorumArrival:
@@ -61,17 +61,17 @@ class Tracer:
         self.kernel = kernel
         self.enabled = enabled
         self.records = WaitLog()
-        # (caller_node, callee_node, method, latency_ms, completed_at):
+        # Rows (caller_node, callee_node, method, latency_ms, completed_at):
         # per-RPC latencies reported by the RPC layer. Unlike wait records
         # these cover *every* reply — including replies from quorum
         # stragglers nobody waited on — which is what per-peer slowness
         # detection needs.
-        self.rpc_latencies: List[Tuple[str, str, str, float, float]] = []
-        # (node, n_bytes, latency_ms, completed_at): per-fsync latencies
+        self.rpc_latencies = RowLog()
+        # Rows (node, n_bytes, latency_ms, completed_at): per-fsync latencies
         # reported by the WAL. These are *local* trace points — a slow
         # disk inflates them without touching any peer RTT, which is what
         # per-resource attribution keys on.
-        self.fsync_latencies: List[Tuple[str, int, float, float]] = []
+        self.fsync_latencies = RowLog(counted=True)
         self.spawned = 0
         self.finished = 0
         # Start times of waits opened through on_wait_start, by id(coro).
@@ -129,7 +129,7 @@ class Tracer:
         self, node: str, peer: str, method: str, latency_ms: float, now: float
     ) -> None:
         if self.enabled:
-            self.rpc_latencies.append((node, peer, method, latency_ms, now))
+            self.rpc_latencies.add((node, peer, method), latency_ms, now)
             for listener in self._rpc_listeners:
                 listener(node, peer, method, latency_ms, now)
 
@@ -157,7 +157,7 @@ class Tracer:
         """One real WAL fsync finished on ``node`` (write-behind absorbs
         and no-op syncs are *not* reported — only platter traffic)."""
         if self.enabled:
-            self.fsync_latencies.append((node, n_bytes, latency_ms, now))
+            self.fsync_latencies.add((node,), latency_ms, now, n_bytes)
             for listener in self._disk_listeners:
                 listener(node, n_bytes, latency_ms, now)
 

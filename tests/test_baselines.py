@@ -123,7 +123,7 @@ class TestTidbLikePathology:
         assert leader.blocking_reads > 50
         assert leader.blocking_read_ms > 200.0
         # The cache is what forces the disk path.
-        assert leader.log.cache.misses > 0
+        assert leader.log.cache_misses > 0
 
     @pytest.mark.slow
     def test_blocking_reads_depress_throughput(self):

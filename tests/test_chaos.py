@@ -8,6 +8,9 @@ from repro.faults.chaos import Nemesis
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
 from repro.raft.service import deploy_depfast_raft, find_leader, wait_for_leader
+from repro.trace.linearize import HistoryRecorder, check_linearizable
+from repro.workload.driver import ClosedLoopDriver
+from repro.workload.ycsb import YcsbWorkload
 
 QUICK = ChaosParams(
     warmup_ms=1_000.0,
@@ -150,3 +153,49 @@ class TestChaosCli:
         assert code == 0
         assert "linearizable" in out
         assert "exactly-once" in out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="pinned, not fixed: a leader cut off from its peers but not its clients "
+    "acknowledges a put whose entry the new leader then overwrites (its completion "
+    "is keyed by log index alone), so a later read returns the older value",
+)
+def test_deposed_leader_never_acknowledges_a_truncated_write():
+    """Leader isolated from its peers, not its clients, for 400 ms under load."""
+    cluster = Cluster(seed=2002)
+    config = RaftConfig(
+        preferred_leader="s1",
+        heartbeat_interval_ms=50.0,
+        election_timeout_min_ms=300.0,
+        election_timeout_max_ms=360.0,
+        client_commit_timeout_ms=1_000.0,
+        read_mode="read_index",
+        snapshot_threshold_entries=400,
+        compaction_keep_entries=128,
+    )
+    raft = deploy_depfast_raft(cluster, ["s1", "s2", "s3"], config=config)
+    wait_for_leader(cluster, raft)
+    history = HistoryRecorder()
+    workload = YcsbWorkload(
+        cluster.rng.stream("workload"),
+        record_count=32,
+        value_size=16,
+        update_fraction=0.6,
+        distribution="uniform",
+    )
+    driver = ClosedLoopDriver(
+        cluster, sorted(raft), workload, n_clients=8, request_timeout_ms=500.0,
+        sessions=True, history=history,
+    )
+    nemesis, kernel, start = Nemesis(cluster, raft), cluster.kernel, cluster.kernel.now
+    kernel.schedule_at(  # the leader is whoever leads when the cut is scheduled
+        start + 1_000.0,
+        lambda: nemesis.schedule_isolation(find_leader(raft).id, kernel.now, 400.0),
+    )
+    driver.start()
+    cluster.run(start + 1_700.0)
+    driver.stop()
+    cluster.run(start + 3_000.0)
+    assert check_linearizable(history).ok

@@ -112,19 +112,24 @@ _schedule_steps = st.lists(
 )
 
 
-class _CountingDict(dict):
-    """Counts whole-store iterations (lookups and deletes by key are free)."""
-
-    full_iterations = 0
+def _counting(column, walks):
+    """``column`` (a list or an array) appending to ``walks`` on every
+    whole-column walk; indexing, slicing, appends and deletes are free."""
+    base = type(column)
 
     def _counted(name):
         def method(self, *args):
-            self.full_iterations += 1
-            return getattr(dict, name)(self, *args)
+            walks.append(name)
+            return getattr(base, name)(self, *args)
 
         return method
 
-    __iter__, keys, values, items = map(_counted, ("__iter__", "keys", "values", "items"))
+    class Counting(base):
+        __iter__, __contains__, index, count = map(
+            _counted, ("__iter__", "__contains__", "index", "count")
+        )
+
+    return Counting(column) if base is list else Counting(column.typecode, column)
 
 
 class TestDurableRaftState:
@@ -272,16 +277,31 @@ class TestDurableRaftState:
         durable = DurableRaftState("s1")
         durable.stage_entries([_Entry(i, 1) for i in range(1, 5_001)])
         durable.commit_sync(durable.begin_sync())
-        durable._entries = counting = _CountingDict(durable._entries)
+        walks = []
+        durable._log, durable._seqs = _counting(durable._log, walks), _counting(durable._seqs, walks)
         for cycle in range(50):
             first = 5_001 + 4 * cycle
             durable.stage_entries([_Entry(first + i, 1) for i in range(4)])
             durable.commit_sync(durable.begin_sync())
         durable.stage_entries([_Entry(5_100, 2)])  # conflict: truncates 5_100..5_200
         durable.save_snapshot(2_500, 1, {})
-        assert counting.full_iterations == 0
+        assert len(walks) == 0
         assert durable.durable_count() == 5_099 - 2_500
-        assert counting.full_iterations == 1  # the counter does see a walk
+        assert len(walks) == 1  # the counter does see a walk
+
+    def test_staging_outside_the_retained_run_raises(self):
+        """The store is one contiguous run from ``snapshot_index + 1``:
+        staging past its end or below its start names the index and run."""
+        durable = DurableRaftState("s1")
+        durable.stage_entries([_Entry(i, 1) for i in range(1, 6)])
+        durable.save_snapshot(2, 1, {})
+        with pytest.raises(ValueError, match=r"s1: cannot stage index 7 .* run 3\.\.5"):
+            durable.stage_entries([_Entry(7, 1)])
+        with pytest.raises(ValueError, match=r"cannot stage index 2 .* run 3\.\.5"):
+            durable.stage_entries([_Entry(2, 1)])
+        durable.stage_entries([_Entry(6, 1), _Entry(3, 2)])  # the end, then a conflict
+        assert durable.durable_count() == 0 and not durable.recovered_entries()
+        assert durable.lost_on_recovery == 1
 
 
 class TestSessionDedup:

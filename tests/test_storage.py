@@ -1,11 +1,16 @@
 """Unit tests for WAL, entry cache and the KV state machine."""
 
-import pytest
+from collections import OrderedDict
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.raft.log import RaftLog
+from repro.raft.types import LogEntry
 from repro.runtime.io_helper import IoHelperPool
 from repro.sim.kernel import Kernel
 from repro.sim.resources import DiskResource
-from repro.storage.entry_cache import EntryCache
 from repro.storage.kvstore import KvStore
 from repro.storage.wal import WriteAheadLog
 
@@ -80,38 +85,98 @@ class TestWal:
             wal.read(-1)
 
 
-class TestEntryCache:
-    def test_put_get_hit(self):
-        cache = EntryCache(max_entries=4)
-        cache.put(1, "a")
-        hit, entry = cache.get(1)
-        assert hit and entry == "a"
-        assert cache.hits == 1
+class _LruByAppend:
+    """The entry cache as an object — the ``put`` / ``get`` of the class the
+    derived rule replaced, kept as the reference it must equal."""
 
-    def test_eviction_of_oldest_index(self):
-        cache = EntryCache(max_entries=3)
-        for index in range(1, 6):
-            cache.put(index, f"e{index}")
-        hit, _ = cache.get(1)
-        assert not hit
-        assert cache.misses == 1
-        hit, entry = cache.get(5)
-        assert hit and entry == "e5"
-        assert cache.lowest_cached_index() == 3
+    def __init__(self, max_entries):
+        self.max_entries = max_entries
+        self.entries = OrderedDict()
+        self.hits = self.misses = 0
 
-    def test_contains_range(self):
-        cache = EntryCache(max_entries=10)
-        for index in range(5, 10):
-            cache.put(index, index)
-        assert cache.contains_range(5, 9)
-        assert not cache.contains_range(4, 9)
+    def put(self, index, entry):
+        self.entries[index] = entry
+        self.entries.move_to_end(index)
+        while len(self.entries) > self.max_entries:
+            self.entries.popitem(last=False)
 
-    def test_lowest_index_empty(self):
-        assert EntryCache().lowest_cached_index() is None
+    def get(self, index):
+        hit = index in self.entries
+        self.hits += hit
+        self.misses += not hit
+        return hit
+
+
+class _ModelledLog(RaftLog):
+    """A RaftLog whose every append is also a put into the reference LRU."""
+
+    def __init__(self, cache_entries):
+        super().__init__(cache_entries=cache_entries)
+        self.model = _LruByAppend(cache_entries)
+
+    def append(self, entry):
+        super().append(entry)
+        self.model.put(entry.index, entry)
+
+
+def _entry(term, index):
+    return LogEntry(term, index, ("put", "k", "v"), 10 + index % 7)
+
+
+_small = st.integers(min_value=0, max_value=12)
+_log_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(min_value=1, max_value=5)),
+        st.tuples(st.just("overwrite"), _small, _small, st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("truncate"), _small),
+        st.tuples(st.just("compact"), _small),
+        st.tuples(st.just("reset"), st.integers(min_value=-8, max_value=4)),
+        st.tuples(st.just("read"), st.integers(min_value=-2, max_value=14), _small),
+    ),
+    max_size=50,
+)
+
+
+class TestEntryCacheFromAppendOrder:
+    """``RaftLog`` keeps no copy of its cached entries: hits are worked out
+    from append order and the cuts since. It must answer as the LRU did."""
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            EntryCache(max_entries=0)
+            RaftLog(cache_entries=0)
+
+    @given(cache_entries=st.integers(min_value=1, max_value=8), steps=_log_steps)
+    @example(  # a cut made before a reset must not count against what follows it
+        cache_entries=8,
+        steps=[("append", 5)] * 4 + [("truncate", 6), ("reset", -4), ("append", 3), ("read", 1, 0)],
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_slice_cached_agrees_with_the_lru(self, cache_entries, steps):
+        log, term = _ModelledLog(cache_entries), 1
+        for step in steps:
+            kind, base, last = step[0], log.base_index, log.last_index()
+            if kind == "append":
+                for offset in range(step[1]):
+                    log.append(_entry(term, last + 1 + offset))
+            elif kind == "overwrite":  # a new leader's entries: duplicates, then a conflict
+                term += 1
+                first = last + 1 - step[1] % (last - base + 1)
+                dups = [_entry(log.term_at(i) or 0, i) for i in range(first - step[2], first)]
+                new = [_entry(term, first + offset) for offset in range(step[3])]
+                log.append_or_overwrite(dups + new)
+            elif kind == "truncate":
+                log.truncate_from(last + 1 - step[1] % (last - base + 1))
+            elif kind == "compact":
+                log.truncate_prefix(base + step[1] % (last - base + 1))
+            elif kind == "reset":
+                log.reset_to_snapshot(max(0, last + step[1]), term)
+            else:
+                first = base + step[1]
+                entries, disk_bytes, misses = log.slice_cached(first, first + step[2])
+                assert entries == log.slice(first, first + step[2])
+                missed = [entry for entry in entries if not log.model.get(entry.index)]
+                assert (disk_bytes, misses) == (sum(e.size_bytes for e in missed), len(missed))
+            assert (log.cache_hits, log.cache_misses) == (log.model.hits, log.model.misses)
 
 
 class TestKvStore:

@@ -1,4 +1,4 @@
-"""The column-wise wait log, the SPG's own digraph and what ``import repro`` loads.
+"""The column-wise trace logs, the SPG's own digraph and what ``import repro`` loads.
 
 ``Tracer.records`` used to be a list of :class:`WaitRecord` objects and the
 SPG a ``networkx.DiGraph``; both were replaced in place, so these tests pin
@@ -123,6 +123,48 @@ def test_wait_log_reads_back_as_the_eager_list(waits, data):
     # One table row per distinct shape, never one per wait.
     assert len(log.shapes) == len(log.shape_ids) == len({fields(r)[:5] + fields(r)[7:] for r in eager})
     assert set(log.shapes) == {fields(r)[:5] + fields(r)[7:] for r in eager}
+
+
+_rpc_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["s1", "s2"]),
+        st.sampled_from(["s2", "s3"]),
+        st.sampled_from(["append", "vote"]),
+        st.integers(0, 1 << 20),
+        st.floats(0.0, 1e4, allow_nan=False),
+        st.floats(0.0, 1e6, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_rpc_rows, data=st.data())
+def test_rpc_and_fsync_rows_read_back_as_the_eager_tuples(rows, data):
+    """``rpc_latencies`` / ``fsync_latencies`` used to be lists of tuples:
+    field by field and type by type, they still read as those lists."""
+    tracer, rpcs, fsyncs = Tracer(Kernel()), [], []
+    assert tracer.rpc_latencies == [] and tracer.fsync_latencies == []
+    for node, peer, method, n_bytes, latency, now in rows:
+        tracer.on_rpc_complete(node, peer, method, latency, now)
+        tracer.on_fsync_complete(node, n_bytes, latency, now)
+        rpcs.append((node, peer, method, latency, now))
+        fsyncs.append((node, n_bytes, latency, now))
+    types = lambda rows: [tuple(map(type, row)) for row in rows]  # noqa: E731
+    for log, eager in ((tracer.rpc_latencies, rpcs), (tracer.fsync_latencies, fsyncs)):
+        assert len(log) == len(eager) and list(log) == eager and types(log) == types(eager)
+        assert log == eager and (log == []) == (not eager)
+        if eager:
+            index = data.draw(st.integers(-len(eager), len(eager) - 1))
+            assert log[index] == eager[index] and types([log[index]]) == types([eager[index]])
+            assert eager[index] in log
+        bounds = st.one_of(st.none(), st.integers(-45, 45))
+        cut = slice(data.draw(bounds), data.draw(bounds), data.draw(st.sampled_from([None, 2, -1])))
+        assert log[cut] == eager[cut] and isinstance(log[cut], list)
+        with pytest.raises(IndexError):
+            log[len(eager)]
+    assert len(tracer.rpc_latencies.shapes) == len({row[:3] for row in rpcs})
+    assert len(tracer.fsync_latencies.shapes) == len({row[:1] for row in fsyncs})
 
 
 def test_edges_are_the_ones_at_wait_end():
