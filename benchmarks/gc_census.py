@@ -13,6 +13,9 @@ process of its own and set up exactly like ``perf/episode.py`` (build,
   stores' two columns summed over nodes and the entry caches' cut pairs;
 * collector **on** — ``gc.callbacks`` time every pass by generation.
 
+The collector-off run also reports the import closure: how many ``repro``
+modules the benchmark's imports load and the peak RSS right after them.
+
 Counts are exact for a seed; seconds are this machine's. Prints a table:
 
     python benchmarks/gc_census.py [--seed 42] [--workload raft_read ...]
@@ -26,6 +29,7 @@ import gc
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -39,14 +43,19 @@ TOP_TYPES = 8
 def _build(name: str, seed: int):
     import episode
 
-    scenario = episode.import_workloads().SCENARIOS[name](seed, 1.0)
+    workloads = episode.import_workloads()
+    closure = {
+        "repro_modules": sum(1 for module in sys.modules if module.split(".")[0] == "repro"),
+        "import_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+    scenario = workloads.SCENARIOS[name](seed, 1.0)
     gc.collect()
     gc.freeze()
-    return scenario
+    return scenario, closure
 
 
 def census_collector_off(name: str, seed: int) -> dict:
-    scenario = _build(name, seed)
+    scenario, closure = _build(name, seed)
     gc.disable()
     scenario.drive()
     result = scenario.result()
@@ -61,6 +70,7 @@ def census_collector_off(name: str, seed: int) -> dict:
     rafts = scenario._raft_objects
     durables = {id(raft.durable): raft.durable for raft in rafts}.values()
     return {
+        **closure,
         "acked": result["acked"],
         "events": result["events"],
         "trace_hash": result["trace_hash"],
@@ -81,7 +91,7 @@ def census_collector_off(name: str, seed: int) -> dict:
 
 
 def census_collector_on(name: str, seed: int) -> dict:
-    scenario = _build(name, seed)
+    scenario, _closure = _build(name, seed)
     seconds, passes, started = [0.0, 0.0, 0.0], [0, 0, 0], [0.0]
 
     def on_gc(phase: str, info: dict) -> None:
@@ -128,6 +138,10 @@ def main(argv=None) -> int:
             f"wait_log_bytes {off['wait_log_bytes']}"
             f" ({off['wait_log_bytes'] / max(1, off['wait_records']):.1f} per wait)"
             f"  trace_hash {off['trace_hash'][:12]}"
+        )
+        print(
+            f"  import closure: repro_modules {off['repro_modules']}"
+            f"  import_rss_mb {off['import_rss_mb']:.1f}"
         )
         print(
             f"  collector off: unreachable {off['unreachable']}  retained {off['retained']}"

@@ -19,81 +19,30 @@ See ``examples/quickstart.py`` for a runnable walk-through, DESIGN.md for
 the system inventory, and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from repro.baselines import (
-    BASELINE_SYSTEMS,
-    BaselineConfig,
-    MongoLikeRsm,
-    RethinkLikeRsm,
-    TidbLikeRsm,
-    deploy_baseline,
-)
-from repro.cluster import Cluster, Node, NodeSpec
-from repro.detector import DetectorConfig, LeaderSlownessDetector
-from repro.events import (
-    AndEvent,
-    Event,
-    OrEvent,
-    QuorumEvent,
-    RpcEvent,
-    SharedIntEvent,
-    TimerEvent,
-    ValueEvent,
-)
-from repro.faults import TABLE1, BackgroundJitter, FaultInjector, FaultSpec, FaultType
-from repro.paxos import PaxosConfig, PaxosNode, deploy_paxos
-from repro.raft import RaftConfig, RaftNode, deploy_depfast_raft, find_leader
-from repro.raft.fastpath import FastPathAcceptor, FastPathCoordinator
-from repro.runtime import Coroutine, Runtime, Scheduler
-from repro.sim import Kernel
-from repro.trace import Tracer, build_spg, check_fail_slow_tolerance, render_spg
-from repro.workload import ClosedLoopDriver, KvServiceClient, WorkloadReport, YcsbWorkload
+from repro._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AndEvent",
-    "BASELINE_SYSTEMS",
-    "BackgroundJitter",
-    "BaselineConfig",
-    "ClosedLoopDriver",
-    "Cluster",
-    "Coroutine",
-    "DetectorConfig",
-    "Event",
-    "FastPathAcceptor",
-    "FastPathCoordinator",
-    "FaultInjector",
-    "FaultSpec",
-    "FaultType",
-    "Kernel",
-    "KvServiceClient",
-    "LeaderSlownessDetector",
-    "MongoLikeRsm",
-    "Node",
-    "NodeSpec",
-    "OrEvent",
-    "PaxosConfig",
-    "PaxosNode",
-    "QuorumEvent",
-    "RaftConfig",
-    "RaftNode",
-    "RethinkLikeRsm",
-    "RpcEvent",
-    "Runtime",
-    "Scheduler",
-    "SharedIntEvent",
-    "TABLE1",
-    "TidbLikeRsm",
-    "TimerEvent",
-    "Tracer",
-    "ValueEvent",
-    "WorkloadReport",
-    "YcsbWorkload",
-    "build_spg",
-    "check_fail_slow_tolerance",
-    "deploy_baseline",
-    "deploy_depfast_raft",
-    "deploy_paxos",
-    "find_leader",
-    "render_spg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines": (
+            "BASELINE_SYSTEMS", "BaselineConfig", "MongoLikeRsm", "RethinkLikeRsm", "TidbLikeRsm",
+            "deploy_baseline",
+        ),
+        "repro.cluster": ("Cluster", "Node", "NodeSpec"),
+        "repro.detector": ("DetectorConfig", "LeaderSlownessDetector"),
+        "repro.events": (
+            "AndEvent", "Event", "OrEvent", "QuorumEvent", "RpcEvent", "SharedIntEvent",
+            "TimerEvent", "ValueEvent",
+        ),
+        "repro.faults": ("TABLE1", "BackgroundJitter", "FaultInjector", "FaultSpec", "FaultType"),
+        "repro.paxos": ("PaxosConfig", "PaxosNode", "deploy_paxos"),
+        "repro.raft": ("RaftConfig", "RaftNode", "deploy_depfast_raft", "find_leader"),
+        "repro.raft.fastpath": ("FastPathAcceptor", "FastPathCoordinator"),
+        "repro.runtime": ("Coroutine", "Runtime", "Scheduler"),
+        "repro.sim": ("Kernel",),
+        "repro.trace": ("Tracer", "build_spg", "check_fail_slow_tolerance", "render_spg"),
+        "repro.workload": ("ClosedLoopDriver", "KvServiceClient", "WorkloadReport", "YcsbWorkload"),
+    },
+)

@@ -198,7 +198,7 @@ class BaselineRsm:
         This is the building block of the pathological all-follower waits:
         an AndEvent over these is a k==n wait the tolerance checker flags.
         """
-        promise = Event(name=f"ack:{peer}@{target_index}", source=peer)
+        promise = Event(name=f"ack:{peer}", source=peer)
         if self._match_index.get(peer, 0) >= target_index:
             promise.trigger(self.rt.now)
         else:

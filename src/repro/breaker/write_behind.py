@@ -86,6 +86,8 @@ class CircuitBreakerWal(WriteAheadLog):
         config: Optional[BreakerConfig] = None,
     ):
         super().__init__(io, name=name, node=node, tracer=tracer)
+        self._proxy_name = f"{name}:sync-proxy"
+        self._absorbed_name = f"{name}:sync-absorbed"
         self.config = config or BreakerConfig()
         self.state = BreakerState.CLOSED
         # FIFO of absorbed group commits: (n_bytes, enqueued_at, on_durable).
@@ -174,7 +176,7 @@ class CircuitBreakerWal(WriteAheadLog):
             real = super().sync(on_durable)
             if real.ready():
                 return real  # no-op sync: nothing was at stake
-            proxy = Event(name=f"{self.name}:sync-proxy")
+            proxy = Event(name=self._proxy_name)
             self._pending_acks.append(proxy)
 
             def _landed(_ev, _proxy=proxy) -> None:
@@ -188,7 +190,7 @@ class CircuitBreakerWal(WriteAheadLog):
         flushing = self.buffered_bytes
         if flushing == 0:
             self.noop_syncs += 1
-            ack = Event(name=f"{self.name}:sync-noop")
+            ack = Event(name=self._noop_name)
             ack.trigger(self._now())
             if on_durable is not None:
                 # Nothing new buffered: previous syncs own their slots.
@@ -217,7 +219,7 @@ class CircuitBreakerWal(WriteAheadLog):
         if self.queued_bytes > self.queued_bytes_hwm:
             self.queued_bytes_hwm = self.queued_bytes
         self._note_lag(now)
-        ack = Event(name=f"{self.name}:sync-absorbed")
+        ack = Event(name=self._absorbed_name)
         ack.trigger(now)
         return ack
 

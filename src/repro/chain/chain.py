@@ -86,7 +86,7 @@ class ChainNode:
         # The wait point of chain replication: one event, sourced at the
         # tail. The SPG shows it as a red head→tail edge; the tolerance
         # checker flags it.
-        acked = ValueEvent(name=f"chain-ack@{seq}", source=self.tail)
+        acked = ValueEvent(name="chain-ack", source=self.tail)
         self._pending[seq] = acked
         yield from self._apply_and_persist(op)
         self.ep.notify(

@@ -24,38 +24,19 @@ rolls that signal every window and acts on it;
 :func:`analyze_peer_slowness` is the offline counterpart.
 """
 
-from repro.detector.leader_detector import (
-    DetectorConfig,
-    LeaderSlownessDetector,
-    Suspicion,
-    attach_detectors,
-)
-from repro.detector.mitigation import (
-    MitigationConfig,
-    MitigationController,
-    deploy_mitigation,
-)
-from repro.detector.peer_monitor import (
-    PeerSlownessReport,
-    analyze_peer_slowness,
-)
-from repro.detector.scoring import ScoringConfig, SlownessScorer
-from repro.detector.signal import HealthSignal, PeerHealth, Suspect, Transition
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DetectorConfig",
-    "HealthSignal",
-    "LeaderSlownessDetector",
-    "MitigationConfig",
-    "MitigationController",
-    "PeerHealth",
-    "PeerSlownessReport",
-    "ScoringConfig",
-    "SlownessScorer",
-    "Suspect",
-    "Suspicion",
-    "Transition",
-    "analyze_peer_slowness",
-    "attach_detectors",
-    "deploy_mitigation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.detector.leader_detector": (
+            "DetectorConfig", "LeaderSlownessDetector", "Suspicion", "attach_detectors",
+        ),
+        "repro.detector.mitigation": (
+            "MitigationConfig", "MitigationController", "deploy_mitigation",
+        ),
+        "repro.detector.peer_monitor": ("PeerSlownessReport", "analyze_peer_slowness"),
+        "repro.detector.scoring": ("ScoringConfig", "SlownessScorer"),
+        "repro.detector.signal": ("HealthSignal", "PeerHealth", "Suspect", "Transition"),
+    },
+)

@@ -195,7 +195,11 @@ class FabricLoadDriver:
         # *only* inter-group coupling channel, which is exactly the
         # variable the fabric matrix isolates.
         self.pin_clients = pin_clients
-        self.key_fn = key_fn if key_fn is not None else self._default_key
+        if key_fn is None:
+            # One string per key for the whole run, not a new one per op.
+            width = len(str(n_keys - 1))
+            key_fn = [f"key{index:0{width}d}" for index in range(n_keys)].__getitem__
+        self.key_fn = key_fn
         self.completed = 0
         self.errors = 0
         self.txns_committed = 0
@@ -207,10 +211,6 @@ class FabricLoadDriver:
         }
         for index in range(n_keys):
             self._group_keys[router.group_for(self.key_fn(index))].append(index)
-
-    def _default_key(self, index: int) -> str:
-        width = len(str(self.n_keys - 1))
-        return f"key{index:0{width}d}"
 
     def _home_group(self, client_index: int) -> Optional[str]:
         if not self.pin_clients:

@@ -285,7 +285,7 @@ class PaxosNode:
             self.majority,
             n_total=len(self.group),
             classify=self._classify_accept,
-            name=f"{self.id}:accept@{slotted[0][0]}-{slotted[-1][0]}",
+            name=f"{self.id}:accept",
         )
         quorum.add(local)
         rpcs = []

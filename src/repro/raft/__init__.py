@@ -12,18 +12,15 @@ Use :func:`deploy_depfast_raft` to stand a group up on a
 :class:`~repro.cluster.cluster.Cluster`.
 """
 
-from repro.raft.config import RaftConfig
-from repro.raft.log import RaftLog
-from repro.raft.node import RaftNode
-from repro.raft.service import deploy_depfast_raft, find_leader
-from repro.raft.types import LogEntry, Role
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LogEntry",
-    "RaftConfig",
-    "RaftLog",
-    "RaftNode",
-    "Role",
-    "deploy_depfast_raft",
-    "find_leader",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.raft.config": ("RaftConfig",),
+        "repro.raft.log": ("RaftLog",),
+        "repro.raft.node": ("RaftNode",),
+        "repro.raft.service": ("deploy_depfast_raft", "find_leader"),
+        "repro.raft.types": ("LogEntry", "Role"),
+    },
+)

@@ -52,6 +52,22 @@ class _PendingOp:
         self.done = done
 
 
+class _NodeNames:
+    """One node's event names, built once per node, not once per event.
+
+    A wait's name is its node plus its code site, never a per-batch or
+    per-request id: the tracer interns one wait shape per distinct name.
+    """
+
+    __slots__ = (
+        "commit_wait", "read_probe", "append_gate", "pending", "heartbeat_seen", "step_down", "repl",
+    )
+
+    def __init__(self, node_id: str):
+        for site in self.__slots__:
+            setattr(self, site, f"{node_id}:{site.replace('_', '-')}")
+
+
 class RaftNode:
     """One member of a DepFastRaft group."""
 
@@ -70,6 +86,7 @@ class RaftNode:
             raise ValueError(f"{node.node_id} not in group {group}")
         self.node = node
         self.id = node.node_id
+        self._names = _NodeNames(self.id)
         self.peers = [member for member in group if member != self.id]
         self.group = list(group)
         self.config = config or RaftConfig()
@@ -279,10 +296,10 @@ class RaftNode:
     def _main_loop(self) -> Generator:
         while not self.rt.crashed:
             if self.role == Role.LEADER:
-                self._step_down = ValueEvent(name=f"{self.id}:step-down")
+                self._step_down = ValueEvent(name=self._names.step_down)
                 yield self._step_down.wait()
                 continue
-            self._ht_event = ValueEvent(name=f"{self.id}:heartbeat-seen")
+            self._ht_event = ValueEvent(name=self._names.heartbeat_seen)
             result = yield self._ht_event.wait(timeout_ms=self._election_timeout())
             if self.role == Role.LEADER:
                 continue
@@ -407,7 +424,7 @@ class RaftNode:
         cfg = self.config
         while self._leading(term):
             if not self._pending_ops:
-                self._pending_signal = ValueEvent(name=f"{self.id}:pending")
+                self._pending_signal = ValueEvent(name=self._names.pending)
                 yield self._pending_signal.wait(timeout_ms=cfg.heartbeat_interval_ms)
                 if not self._pending_ops:
                     continue
@@ -442,7 +459,7 @@ class RaftNode:
                 self.majority,
                 n_total=len(self.voting_members),
                 classify=self._classify_append,
-                name=f"{self.id}:repl@{first}-{last}",
+                name=self._names.repl,
             )
             quorum.add(local_sync)
             for peer in self.peers:
@@ -578,7 +595,7 @@ class RaftNode:
         self._ensure_repair(peer, term)
 
     def _catchup_promise(self, peer: str, target_index: int) -> Event:
-        promise = Event(name=f"catchup:{peer}@{target_index}", source=peer)
+        promise = Event(name=f"catchup:{peer}", source=peer)
         if self._match_index.get(peer, 0) >= target_index:
             promise.trigger(self.rt.now)
         else:
@@ -833,7 +850,7 @@ class RaftNode:
         # Serialize appends in arrival order: concurrent handlers chain on
         # the append gate so the log and WAL see them sequentially.
         previous_gate = self._append_gate
-        my_gate = Event(name=f"{self.id}:append-gate")
+        my_gate = Event(name=self._names.append_gate)
         self._append_gate = my_gate
         try:
             if not previous_gate.ready():
@@ -946,7 +963,7 @@ class RaftNode:
         yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
         if self.role != Role.LEADER:
             return {"ok": False, "redirect": self.leader_hint}
-        done = ValueEvent(name=f"{self.id}:commit-wait", source=self.id)
+        done = ValueEvent(name=self._names.commit_wait, source=self.id)
         self._pending_ops.append(_PendingOp(payload["op"], done))
         if self._pending_signal is not None and not self._pending_signal.ready():
             self._pending_signal.set(True, now=self.rt.now)
@@ -1013,7 +1030,7 @@ class RaftNode:
             quorum=self.majority - 1,
             classify=lambda ev: ev.reply.get("term") == term,
             discard_on_quorum=self.config.discard_on_quorum,
-            name=f"{self.id}:read-probe",
+            name=self._names.read_probe,
         )
         yield call.wait(timeout_ms=self.config.vote_rpc_timeout_ms)
         # depfast: allow(DF011) — ``term`` is deliberately the pre-probe

@@ -38,6 +38,7 @@ class WriteAheadLog:
     ):
         self.io = io
         self.name = name
+        self._noop_name = f"{name}:sync-noop"  # built once, not once per sync
         self.node = node or io.node
         self.tracer = tracer
         self.buffered_bytes = 0
@@ -66,7 +67,7 @@ class WriteAheadLog:
         flushing = self.buffered_bytes
         if flushing == 0:
             self.noop_syncs += 1
-            ack = Event(name=f"{self.name}:sync-noop")
+            ack = Event(name=self._noop_name)
             ack.trigger(self._now())
             if on_durable is not None:
                 on_durable()

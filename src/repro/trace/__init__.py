@@ -15,41 +15,21 @@ turns those records into:
   node, exposing propagation quantitatively (:mod:`repro.trace.analysis`).
 """
 
-from repro.trace.analysis import slowness_attribution, wait_time_by_kind
-from repro.trace.breakdown import busiest_waits, node_wait_breakdown, render_breakdown
-from repro.trace.linearize import (
-    HistoryRecorder,
-    LinearizeResult,
-    OpRecord,
-    check_linearizable,
-)
-from repro.trace.models import (
-    expected_quorum_wait,
-    impact_radius_table,
-    prob_quorum_delayed,
-)
-from repro.trace.spg import SpgEdge, build_spg, render_spg
-from repro.trace.tracepoints import Tracer, WaitRecord
-from repro.trace.verify import ToleranceReport, check_fail_slow_tolerance
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HistoryRecorder",
-    "LinearizeResult",
-    "OpRecord",
-    "SpgEdge",
-    "ToleranceReport",
-    "Tracer",
-    "WaitRecord",
-    "build_spg",
-    "busiest_waits",
-    "check_fail_slow_tolerance",
-    "check_linearizable",
-    "expected_quorum_wait",
-    "impact_radius_table",
-    "node_wait_breakdown",
-    "prob_quorum_delayed",
-    "render_breakdown",
-    "render_spg",
-    "slowness_attribution",
-    "wait_time_by_kind",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.trace.analysis": ("slowness_attribution", "wait_time_by_kind"),
+        "repro.trace.breakdown": ("busiest_waits", "node_wait_breakdown", "render_breakdown"),
+        "repro.trace.linearize": (
+            "HistoryRecorder", "LinearizeResult", "OpRecord", "check_linearizable",
+        ),
+        "repro.trace.models": (
+            "expected_quorum_wait", "impact_radius_table", "prob_quorum_delayed",
+        ),
+        "repro.trace.spg": ("SpgEdge", "build_spg", "render_spg"),
+        "repro.trace.tracepoints": ("Tracer", "WaitRecord"),
+        "repro.trace.verify": ("ToleranceReport", "check_fail_slow_tolerance"),
+    },
+)

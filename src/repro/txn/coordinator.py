@@ -105,7 +105,7 @@ class TxnCoordinator:
             payload = ("txn_prepare", txn_id, tuple(sorted(by_shard[shard].items())))
             self.node.runtime.spawn(
                 self._drive_shard_op(shard, payload, vote),
-                name=f"{txn_id}:prepare:{shard}",
+                name=f"{self.node.node_id}:prepare:{shard}",
             )
         if self.race_votes:
             # depfast: allow(DF005) — 2PC semantics: commit needs every
@@ -116,18 +116,18 @@ class TxnCoordinator:
                 len(shards),
                 n_total=len(shards),
                 classify=lambda ev: ev.value[0],
-                name=f"{txn_id}:all-yes",
+                name=f"{self.node.node_id}:all-yes",
             )
             any_no = QuorumEvent(
                 1,
                 n_total=len(shards),
                 classify=lambda ev: not ev.value[0],
-                name=f"{txn_id}:any-no",
+                name=f"{self.node.node_id}:any-no",
             )
             for vote in votes:
                 all_yes.add(vote)
                 any_no.add(vote)
-            outcome = OrEvent(all_yes, any_no, name=f"{txn_id}:prepare-outcome")
+            outcome = OrEvent(all_yes, any_no, name=f"{self.node.node_id}:prepare-outcome")
             yield outcome.wait(timeout_ms=self.prepare_timeout_ms)
             all_voted_yes = all_yes.ready()
             saw_no = any_no.ready()
@@ -206,11 +206,11 @@ class TxnCoordinator:
             acks.append(ack)
             self.node.runtime.spawn(
                 self._drive_shard_op(shard, record, ack),
-                name=f"{txn_id}:{record[0]}:{shard}",
+                name=f"{self.node.node_id}:{record[0]}:{shard}",
             )
         # depfast: allow(DF005) — phase 2 must reach every shard (locks are
         # only released on delivery); the timeout below bounds the wait.
-        all_acked = QuorumEvent(len(acks), n_total=len(acks), name=f"{txn_id}:phase2")
+        all_acked = QuorumEvent(len(acks), n_total=len(acks), name=f"{self.node.node_id}:phase2")
         for ack in acks:
             all_acked.add(ack)
         yield all_acked.wait(timeout_ms=self.prepare_timeout_ms)

@@ -9,7 +9,7 @@ and extension experiments.
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.storage.kvstore import KvOp
 from repro.workload.distributions import UniformKeys, ZipfianKeys, key_name
@@ -41,11 +41,17 @@ class YcsbWorkload:
         else:
             raise ValueError(f"unknown distribution {distribution!r}")
         self.generated = 0
+        # rank -> key name, filled as ranks are drawn: one string per key
+        # for the whole run, not a new one per operation.
+        self._key_names: Dict[int, str] = {}
 
     def next_op(self) -> Tuple[KvOp, int]:
         """One operation plus its request payload size in bytes."""
         self.generated += 1
-        key = key_name(self._keys.next_rank())
+        rank = self._keys.next_rank()
+        key = self._key_names.get(rank)
+        if key is None:
+            key = self._key_names[rank] = key_name(rank)
         if self.rng.random() < self.update_fraction:
             value = f"v{self.generated}".ljust(self.value_size, "x")
             return ("put", key, value), self.value_size + len(key)

@@ -199,3 +199,49 @@ def test_deposed_leader_never_acknowledges_a_truncated_write():
     driver.stop()
     cluster.run(start + 3_000.0)
     assert check_linearizable(history).ok
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="pinned, not fixed: a deposed leader keeps naming itself as leader, so its "
+    "redirects point at itself, and clients follow a redirect with no pause",
+)
+def test_a_healed_follower_does_not_start_a_redirect_storm():
+    """A follower isolated for 1 000 ms under load, then healed: at most 50
+    redirects in any 100 virtual ms (the storm reads ~700 per window)."""
+    cluster = Cluster(seed=1)
+    config = RaftConfig(
+        preferred_leader="s1",
+        heartbeat_interval_ms=50.0,
+        election_timeout_min_ms=300.0,
+        election_timeout_max_ms=360.0,
+        client_commit_timeout_ms=1_000.0,
+        read_mode="read_index",
+        snapshot_threshold_entries=400,
+        compaction_keep_entries=128,
+    )
+    raft = deploy_depfast_raft(cluster, ["s1", "s2", "s3"], config=config)
+    wait_for_leader(cluster, raft)
+    workload = YcsbWorkload(
+        cluster.rng.stream("workload"),
+        record_count=32,
+        value_size=16,
+        update_fraction=0.6,
+        distribution="uniform",
+    )
+    driver = ClosedLoopDriver(
+        cluster, sorted(raft), workload, n_clients=8, request_timeout_ms=500.0, sessions=True
+    )
+    start = cluster.kernel.now
+    follower = next(node for node in sorted(raft) if node != find_leader(raft).id)
+    Nemesis(cluster, raft).schedule_isolation(follower, start + 500.0, 1_000.0)
+    driver.start()
+    seen, per_window = 0, []
+    for window in range(1, 21):
+        cluster.run(start + 100.0 * window)
+        total = sum(client.redirects for client in driver.clients)
+        per_window.append(total - seen)
+        seen = total
+    assert driver.completed > 0
+    assert max(per_window) <= 50, per_window

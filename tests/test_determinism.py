@@ -29,8 +29,8 @@ def test_golden_covers_all_scenarios(golden):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_event_trace_matches_pre_refactor_golden(scenario, golden):
-    digest = run_traced(scenario, seed=golden[scenario]["seed"])
+def test_event_trace_matches_pre_refactor_golden(scenario, golden, traced_run):
+    digest, _waits = traced_run(scenario, seed=golden[scenario]["seed"])
     expected = golden[scenario]
     # Compare the human-readable fields first so a mismatch says *what*
     # diverged (count/time/ops) before the opaque hash does.

@@ -1,4 +1,5 @@
-"""The column-wise trace logs, the SPG's own digraph and what ``import repro`` loads.
+"""The column-wise trace logs, the SPG's own digraph, what ``import repro`` loads and how
+many wait shapes a run interns.
 
 ``Tracer.records`` used to be a list of :class:`WaitRecord` objects and the
 SPG a ``networkx.DiGraph``; both were replaced in place, so these tests pin
@@ -6,6 +7,7 @@ that each is still the thing its readers used — and the footprint that paid
 for the change, without reading a clock.
 """
 
+import ast
 import gc
 import os
 import pathlib
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.determinism import SCENARIOS
 from repro.events.base import Event
 from repro.events.basic import RpcEvent
 from repro.events.compound import QuorumEvent
@@ -26,6 +29,7 @@ from repro.trace.spg import Spg, build_spg
 from repro.trace.tracepoints import Tracer, WaitRecord
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+BENCH_PERF = SRC.parent / "benchmarks" / "perf"
 FIELDS = WaitRecord.__slots__
 
 
@@ -40,6 +44,13 @@ def coro(name="worker", node="s1", dedication=None):
 # ----------------------------------------------------------------------
 # The import closure
 # ----------------------------------------------------------------------
+def _run(script):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_importing_repro_loads_only_the_standard_library():
     script = (
         "import sys\n"
@@ -48,11 +59,53 @@ def test_importing_repro_loads_only_the_standard_library():
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(added - set(sys.stdlib_module_names) - {'repro'}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    assert _run(script).strip() == "[]"
+
+
+def _benchmark_imports():
+    """The module-level ``repro`` imports of ``benchmarks/perf/*.py``, plus
+    the ``import repro`` every episode runs: what a benchmark episode loads."""
+    statements = ["import repro"]
+    for path in sorted(BENCH_PERF.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module.split(".")[0] == "repro" for module in modules):
+                statements.append(ast.unparse(node))
+    return statements
+
+
+def test_a_benchmark_episode_loads_no_package_it_does_not_run():
+    """Lazy package exports: ``import repro`` and ``from repro.detector.mitigation
+    import ...`` load no baseline, Paxos, linter, harness or trace checker."""
+    statements = _benchmark_imports()
+    assert any("repro.fabric" in statement for statement in statements)
+    script = "\n".join(statements) + "\nimport sys\nprint(*sorted(sys.modules))\n"
+    loaded = _run(script).split()
+    unused = ("repro.baselines", "repro.paxos", "repro.analysis", "repro.bench", "repro.trace.verify")
+    assert [name for name in loaded if name.startswith(unused)] == []
+    assert {"repro.raft.node", "repro.txn.coordinator", "repro.breaker.write_behind"} <= set(loaded)
+
+
+@pytest.mark.parametrize(
+    "package",
+    sorted(
+        ".".join(path.parent.relative_to(SRC).parts) for path in (SRC / "repro").rglob("__init__.py")
+    ),
+)
+def test_every_package_imports_first_in_a_fresh_interpreter(package):
+    """No package relies on another having been imported before it (e.g. the
+    ``breaker.attribution`` <-> ``detector.mitigation`` cycle); its exports resolve."""
+    script = (
+        f"import {package} as package\n"
+        "missing = [name for name in getattr(package, '__all__', ()) if not hasattr(package, name)]\n"
+        "print(missing)\n"
     )
-    assert done.stdout.strip() == "[]"
+    assert _run(script).strip() == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -222,24 +275,30 @@ def test_a_wait_costs_twenty_bytes_and_no_tracked_object():
     assert tracked <= 4 * n_shapes  # one shape tuple each, not one object per wait
 
 
-def test_raft_waits_fall_into_few_shapes(monkeypatch):
-    """A wait path that mints a unique name per wait would cost more than
-    the record object did (~250 B for the shape and its table slot)."""
-    from repro.bench import determinism
+# The shape table of every determinism scenario (3 000 virtual ms) reads
+# 35-217 entries; one name per batch, transaction or sequence number read
+# 997-4 921 here and grew with the run.
+SHAPE_CEILING = 300
 
-    made = []
 
-    class Capturing(determinism.Cluster):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(determinism, "Cluster", Capturing)
-    determinism.run_traced("raft")
-    (cluster,) = made
-    log = cluster.tracer.records
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_wait_shapes_stay_under_a_fixed_ceiling(scenario, traced_run):
+    """A wait's shape names a code site: the table fits a fixed ceiling,
+    not a share of the run (each shape costs ~250 B for its tuple and slot)."""
+    _digest, log = traced_run(scenario)
     assert isinstance(log, WaitLog) and len(log) > 10_000
-    assert len(log.shapes) * 10 <= len(log)
+    assert len(log.shapes) <= SHAPE_CEILING
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario", ["raft", "fabric"])
+def test_wait_shapes_are_bounded_by_the_code_not_the_run(scenario, traced_run):
+    """Twice the virtual time: twice the waits, the same shapes. A name with
+    a batch, transaction or sequence number in it fails this."""
+    _digest, short = traced_run(scenario)
+    _digest, long = traced_run(scenario, horizon_factor=2)
+    assert len(long) > 1.5 * len(short)
+    assert len(long.shapes) == len(short.shapes)
 
 
 # ----------------------------------------------------------------------
