@@ -9,8 +9,9 @@ process of its own and set up exactly like ``perf/episode.py`` (build,
   cycles); what is still tracked after it is what the run retains, by
   type, plus the RPC layer's never-answered ``_pending`` entries, the
   wait log's size (records, distinct shapes, bytes in its two columns),
-  the RPC / fsync row logs' (rows, distinct keys, bytes), the durable
-  stores' two columns summed over nodes and the entry caches' cut pairs;
+  the RPC / fsync row logs' (rows, distinct keys, bytes), each node's one
+  log (its durable store's entry list plus its seq column, summed over
+  stores) and the entry caches' cut pairs;
 * collector **on** — ``gc.callbacks`` time every pass by generation.
 
 The collector-off run also reports the import closure: how many ``repro``

@@ -1,10 +1,12 @@
-"""The Raft log: in-memory entries, entry cache, and log compaction.
+"""The Raft log a running node reads: a volatile face over its durable run.
 
-The simulation keeps live entries in memory (state is cheap); a TiDB-style
-entry cache of the ``cache_entries`` most recently appended indices decides
-whether *reading* an old entry is free (cache hit) or costs a disk read
-(miss) — the distinction at the heart of the TiDB root cause and of
-DepFastRaft's non-blocking repair path.
+The entries live once, in the retained run of the node's
+:class:`~repro.storage.durable.DurableRaftState`, which outlives the process
+(``RaftLog()`` without a store gets a private one). The face keeps only what
+dies with the process: a TiDB-style entry cache of the ``cache_entries``
+most recently appended indices, which decides whether *reading* an old
+entry is free (hit) or costs a disk read (miss) — the distinction at the
+heart of the TiDB root cause and of DepFastRaft's non-blocking repair path.
 
 The cache holds no copy: appends are its only puts and always land at
 ``last_index() + 1``, so every index appended after a live index *i* lies in
@@ -13,10 +15,10 @@ by a truncation made since *i* was appended. *i* hits iff ``H - i <
 cache_entries``; one ``(first cut, highest cut)`` pair per truncation is
 all the bookkeeping that needs.
 
-Compaction gives the log a *base*: everything at or below ``base_index``
-has been folded into a snapshot. Entries are then 1-based above the base;
-followers that fall behind the base are caught up by snapshot install
-rather than entry replay.
+The log's *base* is the store's snapshot boundary; followers behind it are
+caught up by snapshot install rather than entry replay. Only the newest
+face over a store may write: a restarted process opens a new one, and the
+crashed process's face then raises on any write.
 """
 
 from __future__ import annotations
@@ -24,78 +26,84 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.raft.types import LogEntry, entries_size
+from repro.storage.durable import DurableRaftState
 
 
 class RaftLog:
     """Append-only log with term queries, conflict truncation, compaction."""
 
-    def __init__(self, cache_entries: int = 4096):
+    def __init__(self, cache_entries: int = 4096, store: Optional[DurableRaftState] = None):
         if cache_entries < 1:
             raise ValueError("cache must hold at least one entry")
-        self._entries: List[LogEntry] = []
+        self._store = store if store is not None else DurableRaftState("log")
+        self._store.incarnation = self._incarnation = self._store.incarnation + 1
         self.cache_entries = cache_entries
         self.cache_hits = 0
         self.cache_misses = 0
         # (first cut, highest cut) per truncate_from, ascending; a cut merges
         # every pair at or above its first index (see the module docstring).
         self._cuts: List[Tuple[int, int]] = []
-        # Snapshot boundary: indices <= base_index live in the snapshot.
-        self.base_index = 0
-        self.base_term = 0
+
+    def _writable(self) -> DurableRaftState:
+        if self._store.incarnation != self._incarnation:
+            raise RuntimeError(f"{self._store.node_id}: a newer process owns this log")
+        return self._store
 
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
+    @property
+    def base_index(self) -> int:
+        return self._store.snapshot_index
+
+    @property
+    def base_term(self) -> int:
+        return self._store.snapshot_term
+
     def last_index(self) -> int:
-        return self.base_index + len(self._entries)
+        return self._store.snapshot_index + len(self._store._log)
 
     def last_term(self) -> int:
-        if self._entries:
-            return self._entries[-1].term
-        return self.base_term
+        return self.term_at(self.last_index())
 
     def live_entries(self) -> int:
-        """Entries currently held in memory (above the snapshot base)."""
-        return len(self._entries)
+        """Entries currently held above the snapshot base."""
+        return len(self._store._log)
 
     def term_at(self, index: int) -> Optional[int]:
         """Term at ``index``; the base's term at the base; None if absent
         (beyond the end, or compacted away below the base)."""
-        if index == self.base_index:
-            return self.base_term
-        if self.base_index < index <= self.last_index():
-            return self._entries[index - self.base_index - 1].term
-        return None
+        store = self._store
+        offset = index - store.snapshot_index - 1
+        if 0 <= offset < len(store._log):
+            return store._log[offset].term
+        return store.snapshot_term if offset == -1 else None
 
     def entry_at(self, index: int) -> LogEntry:
-        if not self.base_index < index <= self.last_index():
-            raise IndexError(
-                f"log has no live index {index} "
-                f"(base={self.base_index}, last={self.last_index()})"
-            )
-        return self._entries[index - self.base_index - 1]
+        store = self._store
+        offset = index - store.snapshot_index - 1
+        if not 0 <= offset < len(store._log):
+            raise IndexError(f"log has no live index {index} (base {store.snapshot_index})")
+        return store._log[offset]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def append(self, entry: LogEntry) -> None:
-        expected = self.last_index() + 1
-        if entry.index != expected:
-            raise ValueError(f"appending index {entry.index}, expected {expected}")
-        self._entries.append(entry)
+        self._writable().append(entry)
 
     def truncate_from(self, index: int) -> int:
         """Drop entries at ``index`` and beyond; returns how many dropped."""
-        if index <= self.base_index:
-            raise ValueError(f"cannot truncate into the snapshot (base={self.base_index})")
-        offset = index - self.base_index - 1
-        dropped = max(0, len(self._entries) - offset)
+        store = self._writable()
+        if index <= store.snapshot_index:
+            raise ValueError(f"cannot truncate into the snapshot (base={store.snapshot_index})")
+        highest = self.last_index()
+        dropped = store.truncate(index)
         if dropped:
-            cuts, highest = self._cuts, self.last_index()
+            cuts = self._cuts
             while cuts and cuts[-1][0] >= index:
                 highest = max(highest, cuts.pop()[1])
             cuts.append((index, highest))
-        del self._entries[offset:]
         return dropped
 
     def append_or_overwrite(self, entries: Sequence[LogEntry]) -> int:
@@ -106,8 +114,9 @@ class RaftLog:
         entries (the ones that must hit the WAL).
         """
         changed = 0
+        base = self.base_index
         for entry in entries:
-            if entry.index <= self.base_index:
+            if entry.index <= base:
                 continue
             existing_term = self.term_at(entry.index)
             if existing_term is None:
@@ -120,49 +129,41 @@ class RaftLog:
             # else: duplicate of what we already have; skip.
         return changed
 
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
     def truncate_prefix(self, new_base_index: int) -> int:
         """Fold everything up to ``new_base_index`` into the snapshot.
 
         Returns the number of entries compacted away. The new base must be
         a live index (its term is recorded as the snapshot's term).
         """
-        if new_base_index <= self.base_index:
+        store = self._writable()
+        base = store.snapshot_index
+        if new_base_index <= base:
             return 0
         if new_base_index > self.last_index():
-            raise ValueError(
-                f"cannot compact to {new_base_index}: last is {self.last_index()}"
-            )
-        new_base_term = self.term_at(new_base_index)
-        dropped = new_base_index - self.base_index
-        del self._entries[:dropped]
+            raise ValueError(f"cannot compact to {new_base_index}: last is {self.last_index()}")
+        store.compact(new_base_index, self.term_at(new_base_index))
         self._cuts = [cut for cut in self._cuts if cut[0] > new_base_index]
-        self.base_index = new_base_index
-        self.base_term = new_base_term if new_base_term is not None else 0
-        return dropped
+        return new_base_index - base
 
     def reset_to_snapshot(self, last_index: int, last_term: int) -> None:
         """Replace the whole log with a received snapshot boundary."""
-        self._entries.clear()
+        store = self._writable()
+        store.truncate(store.snapshot_index + 1)
+        store.compact(last_index, last_term)
         self._cuts.clear()
-        self.base_index = last_index
-        self.base_term = last_term
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def slice(self, first: int, last: int) -> List[LogEntry]:
         """Live entries in [first, last], clamped to the live range."""
+        store = self._store
+        offset = store.snapshot_index + 1
+        first = max(offset, first)
+        last = min(offset + len(store._log) - 1, last)
         if first > last:
             return []
-        first = max(self.base_index + 1, first)
-        last = min(self.last_index(), last)
-        if first > last:
-            return []
-        offset = self.base_index + 1
-        return self._entries[first - offset : last - offset + 1]
+        return store._log[first - offset : last - offset + 1]
 
     def slice_cached(self, first: int, last: int) -> Tuple[List[LogEntry], int, int]:
         """Like :meth:`slice` but reports what must come back from disk.

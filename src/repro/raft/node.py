@@ -120,7 +120,7 @@ class RaftNode:
         self.voted_for: Optional[str] = None
         self.role = Role.FOLLOWER if self.id in self.voting_members else Role.LEARNER
         self.leader_hint: Optional[str] = None
-        self.log = RaftLog(cache_entries=self.config.entry_cache_entries)
+        self.log = RaftLog(cache_entries=self.config.entry_cache_entries, store=self.durable)
         # The replicated state machine: a plain KV store by default, or
         # any KvStore subclass (e.g. the transactional store of repro.txn).
         self.kv = state_machine if state_machine is not None else KvStore()
@@ -140,7 +140,8 @@ class RaftNode:
         self._sent_index: Dict[str, int] = {}
         self._repairing: Set[str] = set()
         self._catchup_promises: Dict[str, List[Tuple[int, Event]]] = {}
-        self._completions: Dict[int, ValueEvent] = {}
+        # index -> (term, done): a client's promise, made while leading in term.
+        self._completions: Dict[int, Tuple[int, ValueEvent]] = {}
         self._pending_ops: Deque[_PendingOp] = deque()
         self._pending_signal: Optional[ValueEvent] = None
         self._step_down: Optional[ValueEvent] = None
@@ -240,27 +241,18 @@ class RaftNode:
         )
 
     def _recover_from_durable(self) -> None:
-        """Crash recovery: snapshot load + WAL replay from stable storage.
-
-        Restores term/vote, the snapshotted state machine and the durable
-        log suffix. ``commit_index`` restarts at the snapshot base — like
-        real Raft, commit progress is re-learned from the leader (or
-        re-established by this node committing a no-op if it wins an
-        election).
+        """Crash recovery: term/vote, the snapshot, and the run up to the
+        fsync watermark, which the log already reads. ``commit_index``
+        restarts at the snapshot base — like real Raft, commit progress is
+        re-learned from the leader (or by a no-op if this node wins).
         """
-        self.durable.recoveries += 1
         self.recovered = True
         self.term = self.durable.term
         self.voted_for = self.durable.voted_for
         if self.durable.snapshot is not None:
             self.kv.restore_state(self.durable.snapshot)
-            self.log.reset_to_snapshot(
-                self.durable.snapshot_index, self.durable.snapshot_term
-            )
-        for entry in self.durable.recovered_entries():
-            self.log.append(entry)
-        self.commit_index = self.log.base_index
-        self.last_applied = self.log.base_index
+        self.durable.recover()
+        self.commit_index = self.last_applied = self.log.base_index
 
     def _persist_term(self) -> None:
         self.durable.save_term(self.term, self.voted_for)
@@ -279,9 +271,7 @@ class RaftNode:
         self.durable.stage_entries(entries)
         token = self.durable.begin_sync()
         return self.node.wal.sync(
-            on_durable=lambda: (
-                None if self.node.crashed else self.durable.commit_sync(token)
-            )
+            on_durable=lambda: None if self.node.crashed else self.durable.commit_sync(token)
         )
 
     def is_leader(self) -> bool:
@@ -440,13 +430,20 @@ class RaftNode:
                 entry = LogEntry.sized(term, first + offset, pending.op)
                 self.log.append(entry)
                 entries.append(entry)
-                self._completions[entry.index] = pending.done
+                self._completions[entry.index] = (term, pending.done)
             last = entries[-1].index
 
             build_cost = cfg.append_base_cost_ms + (
                 len(entries) * cfg.replicate_entry_cost_ms * (1 + len(self.peers))
             )
             yield self.rt.compute(build_cost, name="batch-build")
+            if not self._leading(term):
+                # Deposed meanwhile. Computes run in order, so only a snapshot install can
+                # have cut the batch; if none did, it reaches the WAL before a newer leader's.
+                if last > self.log.base_index and self.log.term_at(last) == term:
+                    self._stage_durable(entries)
+                self._fail_batch(batch)
+                return
 
             # One quorum over {local durability} ∪ {voting follower acks}:
             # commit when any majority of the *voting configuration* holds
@@ -744,19 +741,24 @@ class RaftNode:
                         result = self._apply_conf_change(entry.op)
                     else:
                         result = self.kv.apply(entry.op)
-                    done = self._completions.pop(self.last_applied, None)
+                    term, done = self._completions.pop(self.last_applied, (0, None))
                     if done is not None and not done.ready():
-                        done.set({"ok": True, "result": result}, now=self.rt.now)
+                        # (index, term) names one proposal: an entry a new
+                        # leader put at this index gets no ``ok`` from here.
+                        ok = term == entry.term
+                        reply = {"ok": True, "result": result} if ok else self._redirect()
+                        done.set(reply, now=self.rt.now)
             self._maybe_compact()
         finally:
             self._applying = False
 
+    def _redirect(self) -> Dict[str, Any]:
+        return {"ok": False, "redirect": self.leader_hint}
+
     def _fail_batch(self, batch: List[_PendingOp]) -> None:
         for pending in batch:
             if not pending.done.ready():
-                pending.done.set(
-                    {"ok": False, "redirect": self.leader_hint}, now=self.rt.now
-                )
+                pending.done.set(self._redirect(), now=self.rt.now)
 
     # ==================================================================
     # Membership changes and leadership transfer (mitigation actions)
@@ -955,14 +957,14 @@ class RaftNode:
     def _on_client_request(self, payload: Dict[str, Any], src: str) -> Generator:
         cfg = self.config
         if self.role != Role.LEADER:
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         op = payload["op"]
         if op[0] == "get" and cfg.read_mode != "log":
             result = yield from self._serve_read(op)
             return result
         yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
         if self.role != Role.LEADER:
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         done = ValueEvent(name=self._names.commit_wait, source=self.id)
         self._pending_ops.append(_PendingOp(payload["op"], done))
         if self._pending_signal is not None and not self._pending_signal.ready():
@@ -995,7 +997,7 @@ class RaftNode:
         ):
             yield self.rt.sleep(0.5)
         if self.role != Role.LEADER:
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         # depfast: allow(DF011) — the pre-confirmation snapshot IS the
         # ReadIndex protocol (Raft §6.4): the read must wait for the index
         # the leader held *before* proving leadership, not a fresher one.
@@ -1003,11 +1005,11 @@ class RaftNode:
         if not (cfg.read_mode == "lease" and self.rt.now < self._lease_until):
             confirmed = yield from self._confirm_leadership()
             if not confirmed:
-                return {"ok": False, "redirect": self.leader_hint}
+                return self._redirect()
         while self.last_applied < read_index and self.role == Role.LEADER:
             yield self.rt.sleep(0.5)
         if self.role != Role.LEADER:
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         yield self.rt.compute(cfg.apply_cost_ms, name="read")
         self.reads_served += 1
         return {"ok": True, "result": self.kv.get(op[1])}
@@ -1118,7 +1120,6 @@ class RaftNode:
         yield sync.wait()
         self.kv.restore_state(payload["state"])
         self.log.reset_to_snapshot(last_index, payload["last_term"])
-        self.durable.clear_log()
         self.durable.save_snapshot(
             last_index, payload["last_term"], self.kv.snapshot_state()
         )

@@ -61,9 +61,9 @@ def restart_raft_node(
 
     The machine restarts (fresh process, reset connections), then a new
     replica of the old one's class recovers from its durable state —
-    snapshot load + WAL replay, persisted term and vote. The entry in
-    ``raft_nodes`` is replaced in place so callers holding the dict see
-    the recovered node.
+    snapshot load, the log run up to the fsync watermark, persisted term
+    and vote. The entry in ``raft_nodes`` is replaced in place so callers
+    holding the dict see the recovered node.
     """
     node = cluster.node(node_id)
     node.restart()

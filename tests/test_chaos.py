@@ -155,15 +155,10 @@ class TestChaosCli:
         assert "exactly-once" in out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="pinned, not fixed: a leader cut off from its peers but not its clients "
-    "acknowledges a put whose entry the new leader then overwrites (its completion "
-    "is keyed by log index alone), so a later read returns the older value",
-)
 def test_deposed_leader_never_acknowledges_a_truncated_write():
-    """Leader isolated from its peers, not its clients, for 400 ms under load."""
+    """Leader isolated from its peers, not its clients, for 400 ms under load:
+    a put whose entry the new leader overwrites is answered with a redirect,
+    never ``ok`` (a completion is keyed by index and term)."""
     cluster = Cluster(seed=2002)
     config = RaftConfig(
         preferred_leader="s1",

@@ -34,12 +34,15 @@ def retained_bytes(fill) -> int:
         tracemalloc.stop()
 
 
-def test_log_and_durable_store_keep_under_32_bytes_per_entry():
+def test_log_and_durable_store_keep_under_24_bytes_per_entry():
     """~153 B when the durable store was an index -> (entry, seq) dict and the
-    entry cache an OrderedDict holding a second reference to each entry."""
+    entry cache an OrderedDict holding a second reference to each entry;
+    ~26 B while the log kept its own entry list beside the store's run, ~17
+    B now that the run is the only one."""
     n = 20_000
     entries = [LogEntry(1, index, ("put", "k", "v"), 48) for index in range(1, n + 1)]
-    log, durable = RaftLog(cache_entries=4096), DurableRaftState("s1")
+    durable = DurableRaftState("s1")
+    log = RaftLog(cache_entries=4096, store=durable)
 
     def fill():
         for first in range(0, n, 4):
@@ -48,7 +51,7 @@ def test_log_and_durable_store_keep_under_32_bytes_per_entry():
                 log.append(entry)
             durable.stage_entries(batch)
 
-    assert retained_bytes(fill) / n <= 32
+    assert retained_bytes(fill) / n <= 24
     assert log.last_index() == n and durable.durable_count() == 0
 
 

@@ -6,7 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
 from repro.raft.service import deploy_depfast_raft, find_leader, wait_for_leader
-from repro.raft.types import Role
+from repro.raft.types import LogEntry, Role
 from repro.trace.verify import check_fail_slow_tolerance
 from repro.workload.driver import ClosedLoopDriver, KvServiceClient
 from repro.workload.ycsb import YcsbWorkload
@@ -124,6 +124,58 @@ class TestReplication:
         cluster.run(until_ms=cluster.kernel.now + 10_000.0)
         results = run_client_ops(cluster, group, [("get", "stable")])
         assert results == [(True, "1")]
+
+
+class TestLeadershipChange:
+    @pytest.mark.parametrize("takeover_holds_the_batch", [False, True])
+    def test_a_leader_deposed_during_its_batch_build_fails_the_batch(
+        self, takeover_holds_the_batch
+    ):
+        """A throttled leader is deposed by a higher-term AppendEntries that
+        lands while it builds a batch: the batch fails with a redirect and
+        no peer is sent it. What the log still holds of it goes to the WAL
+        before the newer leader's entries, which cut it or (when the newer
+        leader got it through repair) keep it, so recovery keeps every entry
+        the store counts durable."""
+        cluster, raft, group = deploy()
+        leader = wait_for_leader(cluster, raft)
+        run_client_ops(cluster, group, [("put", "a", "1")])
+        cluster.node("s1").cpu.set_quota(0.01)  # client-op 45 ms, batch build 8 ms
+        first, term = leader.log.last_index() + 1, leader.term
+        staged = leader.durable.begin_sync()
+        client = cluster.add_client("c1")
+        client.start()
+        put = client.endpoint.call("s1", "client_request", {"op": ("put", "b", "2")}, 64)
+        cluster.run(cluster.kernel.now + 5.0)  # s1 is executing the put
+        sent = [LogEntry.sized(term + 1, first, ("noop",))]
+        if takeover_holds_the_batch:
+            sent = [
+                LogEntry.sized(term, first, ("put", "b", "2")),
+                LogEntry.sized(term + 1, first + 1, ("noop",)),
+            ]
+        takeover = {
+            "term": term + 1,
+            "leader": "s2",
+            "prev_index": first - 1,
+            "prev_term": leader.log.term_at(first - 1),
+            "entries": sent,
+            "commit": 0,
+        }
+        cluster.node("s2").endpoint.call("s1", "append_entries", takeover, 64)
+        while leader.role == Role.LEADER:
+            cluster.run(cluster.kernel.now + 0.1)
+        # Deposed after appending the put's entry, before building its batch ends.
+        assert leader.log.term_at(first) == term
+        assert leader.durable.begin_sync() == staged
+        cluster.run(cluster.kernel.now + 100.0)
+        assert put.reply == {"ok": False, "redirect": "s2"}
+        assert leader.durable.begin_sync() == staged + 2  # the batch's entry, then s2's no-op
+        assert [leader.log.term_at(e.index) for e in sent] == [e.term for e in sent]
+        assert [raft[peer].log.term_at(first) for peer in ("s2", "s3")] == [None, None]
+        durable = leader.durable
+        assert durable.durable_count() == leader.log.live_entries()
+        durable.recover()
+        assert durable.lost_on_recovery == 0 and leader.log.last_index() == sent[-1].index
 
 
 class TestFailSlowTolerance:

@@ -3,20 +3,24 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.cluster.cluster import Cluster
 from repro.faults.catalog import TABLE1
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
+from repro.raft.log import RaftLog
 from repro.raft.service import (
     deploy_depfast_raft,
     find_leader,
     restart_raft_node,
     wait_for_leader,
 )
-from repro.storage.durable import DurableRaftState
+from repro.raft.types import LogEntry, entries_size
+from repro.storage.durable import UNSTAGED, DurableRaftState
 from repro.storage.kvstore import KvStore
-from repro.workload.driver import KvServiceClient
+from repro.workload.driver import ClosedLoopDriver, KvServiceClient
+from repro.workload.ycsb import YcsbWorkload
 
 
 class _Entry:
@@ -36,7 +40,8 @@ class _PerEntryModel:
     """
 
     def __init__(self):
-        self.snapshot_index = 0
+        self.snapshot_index = self.snapshot_term = 0
+        self.snapshot = None
         self.entries = {}  # index -> (entry, durable?)
         self.staged_seq = {}
         self.seq = 0
@@ -68,10 +73,10 @@ class _PerEntryModel:
             if self.staged_seq.get(index) == seq:
                 self.entries[index] = (self.entries[index][0], True)
 
-    def save_snapshot(self, last_index, _last_term, _state):
+    def save_snapshot(self, last_index, last_term, state):
         if last_index < self.snapshot_index:
             return
-        self.snapshot_index = last_index
+        self.snapshot_index, self.snapshot_term, self.snapshot = last_index, last_term, state
         self._drop(lambda i: i <= last_index)
 
     def clear_log(self):
@@ -89,6 +94,102 @@ class _PerEntryModel:
 
     def durable_count(self):
         return sum(1 for _e, durable in self.entries.values() if durable)
+
+    def replay_into(self, log):
+        """Recovery as a replay into a fresh log: the snapshot boundary,
+        then every recovered entry appended in order."""
+        if self.snapshot is not None:
+            log.reset_to_snapshot(self.snapshot_index, self.snapshot_term)
+        for entry in self.recovered_entries():
+            log.append(entry)
+        return log
+
+
+class _TwoStoreLog:
+    """The log that kept its own list of entries beside the durable store,
+    before the store's run became the only copy: the reference the one log
+    must answer like, paired with :class:`_PerEntryModel` for the store."""
+
+    def __init__(self, cache_entries):
+        self._entries, self._cuts = [], []
+        self.cache_entries, self.cache_hits, self.cache_misses = cache_entries, 0, 0
+        self.base_index = self.base_term = 0
+
+    def last_index(self):
+        return self.base_index + len(self._entries)
+
+    def last_term(self):
+        return self._entries[-1].term if self._entries else self.base_term
+
+    def term_at(self, index):
+        if index == self.base_index:
+            return self.base_term
+        if self.base_index < index <= self.last_index():
+            return self._entries[index - self.base_index - 1].term
+        return None
+
+    def append(self, entry):
+        assert entry.index == self.last_index() + 1
+        self._entries.append(entry)
+
+    def truncate_from(self, index):
+        offset = index - self.base_index - 1
+        dropped = max(0, len(self._entries) - offset)
+        if dropped:
+            cuts, highest = self._cuts, self.last_index()
+            while cuts and cuts[-1][0] >= index:
+                highest = max(highest, cuts.pop()[1])
+            cuts.append((index, highest))
+        del self._entries[offset:]
+        return dropped
+
+    def append_or_overwrite(self, entries):
+        changed = 0
+        for entry in entries:
+            if entry.index <= self.base_index:
+                continue
+            existing_term = self.term_at(entry.index)
+            if existing_term is None:
+                self.append(entry)
+                changed += 1
+            elif existing_term != entry.term:
+                self.truncate_from(entry.index)
+                self.append(entry)
+                changed += 1
+        return changed
+
+    def truncate_prefix(self, new_base_index):
+        new_base_term = self.term_at(new_base_index)
+        del self._entries[: new_base_index - self.base_index]
+        self._cuts = [cut for cut in self._cuts if cut[0] > new_base_index]
+        self.base_index, self.base_term = new_base_index, new_base_term
+
+    def reset_to_snapshot(self, last_index, last_term):
+        self._entries.clear()
+        self._cuts.clear()
+        self.base_index, self.base_term = last_index, last_term
+
+    def slice(self, first, last):
+        first, last = max(self.base_index + 1, first), min(self.last_index(), last)
+        if first > last:
+            return []
+        return self._entries[first - self.base_index - 1 : last - self.base_index]
+
+    def slice_cached(self, first, last):
+        entries = self.slice(first, last)
+        misses = 0
+        for entry in entries:
+            highest = self.last_index()
+            for cut_first, cut_highest in reversed(self._cuts):
+                if cut_first <= entry.index:
+                    break
+                highest = max(highest, cut_highest)
+            if highest - entry.index < self.cache_entries:
+                break
+            misses += 1
+        self.cache_misses += misses
+        self.cache_hits += len(entries) - misses
+        return entries, entries_size(entries[:misses]), misses
 
 
 _small = st.integers(min_value=0, max_value=6)
@@ -110,6 +211,12 @@ _schedule_steps = st.lists(
     ),
     max_size=40,
 )
+
+
+def _recovered(durable):
+    """Recover ``durable``; the (index, term) pairs its run keeps."""
+    durable.recover()
+    return [(entry.index, entry.term) for entry in durable._log]
 
 
 def _counting(column, walks):
@@ -141,7 +248,7 @@ class TestDurableRaftState:
         durable.stage_entries([_Entry(3, 1)])  # staged after the fsync cut
         durable.commit_sync(covered)
         assert durable.durable_count() == 2
-        assert [e.index for e in durable.recovered_entries()] == [1, 2]
+        assert _recovered(durable) == [(1, 1), (2, 1)]
 
     def test_unsynced_suffix_is_lost_on_recovery(self):
         durable = DurableRaftState("s1")
@@ -149,8 +256,7 @@ class TestDurableRaftState:
         covered = durable.begin_sync()
         durable.stage_entries([_Entry(2, 1), _Entry(3, 1)])
         durable.commit_sync(covered)  # only entry 1 made it to disk
-        recovered = durable.recovered_entries()
-        assert [e.index for e in recovered] == [1]
+        assert _recovered(durable) == [(1, 1)]
         assert durable.lost_on_recovery == 2
 
     def test_conflicting_term_invalidates_suffix(self):
@@ -158,12 +264,10 @@ class TestDurableRaftState:
         durable.stage_entries([_Entry(1, 1), _Entry(2, 1), _Entry(3, 1)])
         durable.commit_sync(durable.begin_sync())
         # A new leader overwrites index 2 with a higher-term entry.
+        assert RaftLog(store=durable).append_or_overwrite([_Entry(2, 2)]) == 1
         durable.stage_entries([_Entry(2, 2)])
         durable.commit_sync(durable.begin_sync())
-        assert [(e.index, e.term) for e in durable.recovered_entries()] == [
-            (1, 1),
-            (2, 2),
-        ]
+        assert _recovered(durable) == [(1, 1), (2, 2)]
 
     def test_restaged_entry_not_marked_durable_by_stale_sync(self):
         """A sync that began before a conflicting restage must not mark
@@ -173,22 +277,20 @@ class TestDurableRaftState:
         durable.stage_entries([_Entry(1, 1), _Entry(2, 1)])
         covered = durable.begin_sync()
         # A new leader overwrites index 2 while that fsync is in flight.
+        RaftLog(store=durable).append_or_overwrite([_Entry(2, 2)])
         durable.stage_entries([_Entry(2, 2)])
         durable.commit_sync(covered)  # index 2's seq is stale: skip it
         assert durable.durable_count() == 1
         # The next sync cut covers the restaged entry for real.
         durable.commit_sync(durable.begin_sync())
-        assert [(e.index, e.term) for e in durable.recovered_entries()] == [
-            (1, 1),
-            (2, 2),
-        ]
+        assert _recovered(durable) == [(1, 1), (2, 2)]
 
     def test_snapshot_drops_covered_entries(self):
         durable = DurableRaftState("s1")
         durable.stage_entries([_Entry(i, 1) for i in range(1, 6)])
         durable.commit_sync(durable.begin_sync())
         durable.save_snapshot(3, 1, {"data": {}, "applied": 3})
-        assert [e.index for e in durable.recovered_entries()] == [4, 5]
+        assert _recovered(durable) == [(4, 1), (5, 1)]
         durable.save_snapshot(2, 1, {"data": {}, "applied": 2})  # stale: ignored
         assert durable.snapshot_index == 3
 
@@ -206,7 +308,7 @@ class TestDurableRaftState:
         assert durable.durable_count() == 3
         durable.commit_sync(first)  # late and smaller: the watermark stays
         assert durable.durable_count() == 3
-        assert [e.index for e in durable.recovered_entries()] == [1, 2, 3]
+        assert _recovered(durable) == [(1, 1), (2, 1), (3, 1)]
         assert durable.lost_on_recovery == 1
 
     @given(steps=_schedule_steps)
@@ -221,8 +323,10 @@ class TestDurableRaftState:
     def test_watermark_agrees_with_per_entry_model(self, steps):
         """Any interleaving of staging, overlapping fsyncs (landing in
         order, out of order, never, or after a recovery), compaction and
-        recovery leaves the watermark and the per-entry oracle agreeing."""
+        recovery leaves the watermark and the per-entry oracle agreeing.
+        Conflicts and installs go through the log face, as they do in Raft."""
         durable, model = DurableRaftState("s1"), _PerEntryModel()
+        log = RaftLog(store=durable)
         pending = []  # (token, model capture) of fsyncs still in flight
         term = 1
 
@@ -240,7 +344,9 @@ class TestDurableRaftState:
                     continue
                 term += 1  # a new leader: conflicts with whatever is there
                 first = last - step[1] % (last - base)
-                both("stage_entries", [_Entry(first + i, term) for i in range(step[2])])
+                entries = [_Entry(first + i, term) for i in range(step[2])]
+                assert log.append_or_overwrite(entries) == len(entries)
+                both("stage_entries", entries)
             elif kind == "rewrite":
                 if last == base:
                     continue
@@ -260,12 +366,13 @@ class TestDurableRaftState:
             elif kind == "stale_snapshot":
                 both("save_snapshot", base - 1 - step[1], term, {})
             elif kind == "install_snapshot":
-                both("clear_log")
+                log.reset_to_snapshot(last + 1 + step[1], term)
+                model.clear_log()
                 both("save_snapshot", last + 1 + step[1], term, {})
             else:
-                ours, theirs = both("recovered_entries")
-                assert [(e.index, e.term) for e in ours] == [
-                    (e.index, e.term) for e in theirs
+                log = RaftLog(store=durable)  # the restarted process's face
+                assert _recovered(durable) == [
+                    (e.index, e.term) for e in model.recovered_entries()
                 ]
             assert durable.durable_count() == model.durable_count()
             assert durable.lost_on_recovery == model.lost_on_recovery
@@ -283,7 +390,8 @@ class TestDurableRaftState:
             first = 5_001 + 4 * cycle
             durable.stage_entries([_Entry(first + i, 1) for i in range(4)])
             durable.commit_sync(durable.begin_sync())
-        durable.stage_entries([_Entry(5_100, 2)])  # conflict: truncates 5_100..5_200
+        RaftLog(store=durable).append_or_overwrite([_Entry(5_100, 2)])  # cuts 5_100..5_200
+        durable.stage_entries([_Entry(5_100, 2)])
         durable.save_snapshot(2_500, 1, {})
         assert len(walks) == 0
         assert durable.durable_count() == 5_099 - 2_500
@@ -291,7 +399,8 @@ class TestDurableRaftState:
 
     def test_staging_outside_the_retained_run_raises(self):
         """The store is one contiguous run from ``snapshot_index + 1``:
-        staging past its end or below its start names the index and run."""
+        staging past its end, below its start or over a conflicting term
+        names the index and run; the log face resolves conflicts."""
         durable = DurableRaftState("s1")
         durable.stage_entries([_Entry(i, 1) for i in range(1, 6)])
         durable.save_snapshot(2, 1, {})
@@ -299,9 +408,190 @@ class TestDurableRaftState:
             durable.stage_entries([_Entry(7, 1)])
         with pytest.raises(ValueError, match=r"cannot stage index 2 .* run 3\.\.5"):
             durable.stage_entries([_Entry(2, 1)])
-        durable.stage_entries([_Entry(6, 1), _Entry(3, 2)])  # the end, then a conflict
-        assert durable.durable_count() == 0 and not durable.recovered_entries()
+        durable.stage_entries([_Entry(6, 1)])  # the end
+        with pytest.raises(ValueError, match=r"cannot stage index 3 \(term 2\) .* run 3\.\.6"):
+            durable.stage_entries([_Entry(3, 2)])
+        RaftLog(store=durable).append_or_overwrite([_Entry(3, 2)])
+        durable.stage_entries([_Entry(3, 2)])
+        assert durable.durable_count() == 0 and _recovered(durable) == []
         assert durable.lost_on_recovery == 1
+
+
+class TestOneLog:
+    def test_staging_above_an_unstaged_entry_raises(self):
+        """The WAL is written in index order. A batch appended but not yet
+        staged cannot sit under a staged entry, where recovery would drop
+        the durable entries above it that ``durable_count`` counts."""
+        durable = DurableRaftState("s1")
+        log = RaftLog(store=durable)
+        log.append(_put(1, 1))
+        log.append(_put(1, 2))  # appended, not yet staged
+        log.append(_put(2, 3))
+        with pytest.raises(ValueError, match=r"s1: stage index 2 before 3"):
+            durable.stage_entries([log.entry_at(3)])
+        with pytest.raises(ValueError, match=r"s1: stage index 3 before 4"):
+            durable.stage_entries([_put(2, 4)])
+        assert log.last_index() == 3  # a refused stage changes nothing
+        durable.stage_entries([log.entry_at(i) for i in (1, 2, 3)])
+        durable.commit_sync(durable.begin_sync())
+        assert durable.durable_count() == 3
+        assert _recovered(durable) == [(1, 1), (2, 1), (3, 2)]
+
+
+def _put(term, index):
+    return LogEntry(term, index, ("put", "k", "v"), 40 + index % 5)
+
+
+class OneLogAgainstTwoStores(RuleBasedStateMachine):
+    """One log — a face over the durable run — answers every step a Raft
+    node takes exactly as the two-store pair it replaced: its own entry list
+    beside the per-entry durable model, recovered by replay."""
+
+    CACHE = 5  # small, so reads cross the entry cache's floor
+
+    def __init__(self):
+        super().__init__()
+        self.store = DurableRaftState("s1")
+        self.store.save_term(1, None)
+        self.log = RaftLog(self.CACHE, store=self.store)
+        self.old_log, self.model = _TwoStoreLog(self.CACHE), _PerEntryModel()
+        self.term, self.leading = 1, False
+        # (term, entries) appended as leader whose batch-build computes have
+        # not ended; the CPU ends them in this order.
+        self.batches = []
+        self.pending = []  # (token, model capture) of fsyncs in flight
+
+    def _both_stage(self, entries):
+        self.store.stage_entries(entries)
+        self.model.stage_entries(entries)
+
+    def _end_build(self):
+        """The oldest batch build ends: leading or deposed, the batcher
+        stages what the log still holds of its batch."""
+        term, batch = self.batches.pop(0)
+        base = self.log.base_index
+        held = [e for e in batch if e.index > base and self.log.term_at(e.index) == term]
+        if held:
+            self._both_stage(held)
+
+    @rule(n=st.integers(min_value=1, max_value=4))
+    def lead(self, n):
+        """Append a batch as leader. With a build still running, this node
+        was deposed and re-elected meanwhile: a new term's batch above it."""
+        if self.batches or not self.leading:
+            self.term += 1
+        self.leading = True
+        first = self.log.last_index() + 1
+        batch = [_put(self.term, first + i) for i in range(n)]
+        for entry in batch:
+            self.log.append(entry)
+            self.old_log.append(entry)
+        self.batches.append((self.term, batch))
+
+    @precondition(lambda self: self.batches)
+    @rule()
+    def build_ends(self):
+        self._end_build()
+
+    @rule(back=_small, dups=_small, n=st.integers(min_value=0, max_value=3))
+    def follow(self, back, dups, n):
+        """A newer leader's AppendEntries. Its compute queues behind every
+        batch build, so those end first. It repeats some of this log (the
+        newer leader may hold a failed batch through repair) and cuts what
+        conflicts with its new entries; the changed suffix is staged."""
+        while self.batches:
+            self._end_build()
+        self.term += 1
+        self.leading = False
+        base, last = self.log.base_index, self.log.last_index()
+        first = last + 1 - back % (last - base + 1)
+        sent = [self.log.entry_at(i) for i in range(max(base + 1, first - dups), first)]
+        sent += [_put(self.term, first + i) for i in range(n)]
+        changed = self.log.append_or_overwrite(sent)
+        assert self.old_log.append_or_overwrite(sent) == changed
+        if changed:
+            self._both_stage(sent[-changed:])
+
+    @rule()
+    def begin_sync(self):
+        self.pending.append((self.store.begin_sync(), self.model.begin_sync()))
+
+    @precondition(lambda self: self.pending)
+    @rule(pick=_small, lands=st.booleans())
+    def fsync_ends(self, pick, lands):  # out of order, or its callback never comes
+        token, capture = self.pending.pop(pick % len(self.pending))
+        if lands:
+            self.store.commit_sync(token)
+            self.model.commit_sync(capture)
+
+    @rule(back=_small)
+    def compact(self, back):  # through applied entries: never past an unstaged one
+        base = self.log.base_index
+        top = base + sum(1 for seq in self.store._seqs if seq != UNSTAGED)
+        if top > base:
+            new_base = top - back % (top - base)
+            self.log.truncate_prefix(new_base)
+            self.old_log.truncate_prefix(new_base)
+            self.store.save_snapshot(new_base, self.log.base_term, {"applied": new_base})
+            self.model.save_snapshot(new_base, self.old_log.base_term, {"applied": new_base})
+
+    @rule(ahead=st.integers(min_value=-3, max_value=3))
+    def install_snapshot(self, ahead):
+        """A newer leader's snapshot: the handler takes no CPU, so it may
+        land while batch builds still run."""
+        self.term += 1
+        self.leading = False
+        index = self.log.last_index() + ahead
+        if index > self.log.base_index:
+            self.log.reset_to_snapshot(index, self.term)
+            self.store.save_snapshot(index, self.term, {"applied": index})
+            self.old_log.reset_to_snapshot(index, self.term)
+            self.model.clear_log()
+            self.model.save_snapshot(index, self.term, {"applied": index})
+
+    @rule()
+    def crash_and_recover(self):
+        dead, self.batches, self.leading = self.log, [], False
+        self.log = RaftLog(self.CACHE, store=self.store)
+        self.store.recover()
+        self.old_log = self.model.replay_into(_TwoStoreLog(self.CACHE))
+        with pytest.raises(RuntimeError, match="a newer process owns this log"):
+            dead.truncate_from(dead.base_index + 1)
+
+    @rule(back=st.integers(min_value=0, max_value=12), n=_small)
+    def read(self, back, n):
+        first = self.log.last_index() - back
+        assert self.log.slice_cached(first, first + n) == self.old_log.slice_cached(
+            first, first + n
+        )
+
+    @invariant()
+    def both_sides_agree(self):
+        log, old = self.log, self.old_log
+        assert (log.base_index, log.base_term, log.last_index(), log.last_term()) == (
+            old.base_index, old.base_term, old.last_index(), old.last_term()
+        )
+        assert [log.term_at(i) for i in range(log.base_index - 1, log.last_index() + 2)] == [
+            old.term_at(i) for i in range(old.base_index - 1, old.last_index() + 2)
+        ]
+        assert log.slice(0, log.last_index()) == old.slice(0, old.last_index())
+        assert (log.cache_hits, log.cache_misses) == (old.cache_hits, old.cache_misses)
+        assert self.store.durable_count() == self.model.durable_count()
+        assert self.store.lost_on_recovery == self.model.lost_on_recovery
+
+    @invariant()
+    def recovery_keeps_what_is_counted_durable(self):
+        seqs, watermark = self.store._seqs, self.store._durable_seq
+        staged = sum(1 for seq in seqs if seq != UNSTAGED)
+        assert all(seq == UNSTAGED for seq in seqs[staged:])  # unstaged only as the tail
+        kept = next((i for i, seq in enumerate(seqs) if seq > watermark), len(seqs))
+        assert self.store.durable_count() == kept
+
+
+TestOneLogAgainstTwoStores = OneLogAgainstTwoStores.TestCase
+TestOneLogAgainstTwoStores.settings = settings(
+    max_examples=300, stateful_step_count=40, deadline=None
+)
 
 
 class TestSessionDedup:
@@ -520,6 +810,42 @@ class TestCrashRecovery:
         digests = {r.kv.stable_digest() for r in raft.values()}
         assert len(digests) == 1
         assert raft["s1"].kv.get("z") == 3
+
+
+    def test_a_crashed_incarnation_cannot_change_the_shared_run(self):
+        """The durable run outlives the process, and the dead process's log
+        face still points at it: a follower crashed mid-load and restarted
+        reads exactly the run at every sample, and the dead face cannot
+        write it."""
+        cluster, raft, group = _deploy(seed=5)
+        wait_for_leader(cluster, raft)
+        workload = YcsbWorkload(cluster.rng.stream("ycsb"), record_count=64, value_size=32)
+        driver = ClosedLoopDriver(cluster, group, workload, n_clients=4)
+        driver.start()
+        cluster.run(cluster.kernel.now + 300.0)
+        dead = raft["s3"]
+        cluster.node("s3").crash("mid-load")
+        cluster.run(cluster.kernel.now + 200.0)
+        live = restart_raft_node(cluster, raft, "s3")
+        assert live.durable is dead.durable
+        crash_last = live.log.last_index()
+        for _ in range(100):
+            cluster.run(cluster.kernel.now + 10.0)
+            store, log = live.durable, live.log
+            assert log.last_index() == store.snapshot_index + len(store._log)
+            seen = log.slice(log.base_index + 1, log.last_index())
+            assert seen == store._log
+            for write in (
+                lambda: dead.log.truncate_from(dead.log.base_index + 1),
+                lambda: dead.log.append(_put(dead.term, dead.log.last_index() + 1)),
+                lambda: dead.log.truncate_prefix(dead.log.last_index()),
+                lambda: dead.log.reset_to_snapshot(dead.log.last_index() + 5, dead.term),
+            ):
+                with pytest.raises(RuntimeError, match="s3: a newer process owns this log"):
+                    write()
+            assert log.slice(log.base_index + 1, log.last_index()) == seen
+        driver.stop()
+        assert live.log.last_index() > crash_last  # it kept replicating
 
 
 class TestCrashWhileBreakerTripped:
