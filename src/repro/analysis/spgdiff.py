@@ -5,11 +5,9 @@ the runtime trace produces *concrete edges* (waiter node → source node,
 colored by the per-edge ``k < n`` rule). The differ lines the two up:
 
 * a runtime edge is **predicted** when some static edge class covers it —
-  same color, and a scope consistent with the node pair (endpoints sharing
-  a replica group ↔ ``group``; endpoints in disjoint groups, or one wait
-  fanning into disjoint groups at once, ↔ ``xgroup``; otherwise
-  ``boundary``). Fabric nodes host several groups, so membership is a
-  *set* per node and "same group" means a non-empty intersection;
+  same color, and the same scope (``group`` / ``xgroup`` / ``boundary``,
+  decided by :func:`repro.trace.verify.scoped_edges`, the rule the
+  tolerance verdict uses too);
 * runtime edges with no covering class are **runtime-only** — waits the
   scanner could not see (dynamic dispatch, reflection, unresolved shapes);
 * static edge classes never exercised by the trace are **static-only** —
@@ -26,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.static_spg import GREEN, RED, StaticEdge, StaticSpg
-from repro.trace.tracepoints import WaitRecord
+from repro.trace.records import WaitRecord, wait_log
+from repro.trace.verify import memberships, scoped_edges
 
 
 @dataclass(frozen=True)
@@ -84,56 +83,16 @@ class SpgDiff:
 def _runtime_edges(
     records: Iterable[WaitRecord], groups: Sequence[Sequence[str]]
 ) -> List[RuntimeEdge]:
-    # Fabric topologies place several groups on one node: membership is a
-    # set, and two nodes are "same group" iff the sets intersect.
-    memberships: Dict[str, frozenset] = {}
-    collect: Dict[str, Set[int]] = {}
-    for index, members in enumerate(groups):
-        for member in members:
-            collect.setdefault(member, set()).add(index)
-    memberships = {node: frozenset(indices) for node, indices in collect.items()}
-    empty: frozenset = frozenset()
-    seen: Set[RuntimeEdge] = set()
-    ordered: List[RuntimeEdge] = []
-    for record in records:
-        if record.node is None:
+    membership = memberships(groups)
+    ordered: Dict[RuntimeEdge, None] = {}
+    for shape, _count, _total in wait_log(records).by_shape():
+        _coro, node, _kind, _event, edges, _timed_out, dedication = shape
+        if node is None:
             continue
-        waiter_groups = memberships.get(record.node, empty)
-        # One wait fanning into two *disjoint* groups is a cross-group
-        # wait (a 2PC prepare racing several shards' votes): its edges
-        # carry xgroup scope even when the waiter is an ungrouped client.
-        source_groups = [
-            memberships.get(source, empty)
-            for source, _k, _n in record.edges
-            if source != record.node
-        ]
-        spans_groups = any(
-            a and b and not (a & b)
-            for i, a in enumerate(source_groups)
-            for b in source_groups[i + 1 :]
-        )
-        for source, k, n in record.edges:
-            if source == record.node:
-                continue
+        for source, k, n, scope in scoped_edges(node, edges, membership):
             color = GREEN if k < n else RED
-            src_groups = memberships.get(source, empty)
-            if waiter_groups & src_groups:
-                scope = "group"
-            elif (waiter_groups and src_groups) or spans_groups:
-                scope = "xgroup"
-            else:
-                scope = "boundary"
-            edge = RuntimeEdge(
-                src=record.node,
-                dst=source,
-                color=color,
-                scope=scope,
-                dedicated=getattr(record, "dedication", None) == source,
-            )
-            if edge not in seen:
-                seen.add(edge)
-                ordered.append(edge)
-    return ordered
+            ordered[RuntimeEdge(node, source, color, scope, dedication == source)] = None
+    return list(ordered)
 
 
 def diff_spg(

@@ -11,8 +11,13 @@ turns those records into:
   definition — "code that only uses QuorumEvent and has no other
   [inter-node] waiting points is fail-slow fault-tolerant code"
   (:mod:`repro.trace.verify`);
-* **slowness attribution** — how much wait time each peer contributed to a
-  node, exposing propagation quantitatively (:mod:`repro.trace.analysis`).
+* **slowness attribution** and per-node **wait breakdowns** — how much wait
+  time each peer contributed to a node, and which kinds and wait points a
+  node's time went to (:mod:`repro.trace.analysis`).
+
+Every one of these is a query over :meth:`repro.trace.records.WaitLog.by_shape`,
+one pass that counts and sums a run's waits by shape (a few hundred rows for
+~10^5 waits); none walks the waits itself.
 """
 
 from repro._lazy import lazy_exports
@@ -20,8 +25,10 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.trace.analysis": ("slowness_attribution", "wait_time_by_kind"),
-        "repro.trace.breakdown": ("busiest_waits", "node_wait_breakdown", "render_breakdown"),
+        "repro.trace.analysis": (
+            "busiest_waits", "node_wait_breakdown", "render_breakdown",
+            "slowness_attribution", "wait_time_by_kind",
+        ),
         "repro.trace.linearize": (
             "HistoryRecorder", "LinearizeResult", "OpRecord", "check_linearizable",
         ),

@@ -6,13 +6,15 @@ handful of ``(node, peer, method)`` / ``(node,)`` keys. :class:`RowLog`
 interns each shape once and keeps a row as a 4-byte shape index plus its
 numbers in arrays: no object per row. :class:`WaitLog` reads its rows back
 as :class:`WaitRecord`, the other logs as the flat tuples they replaced.
+Every reader of a run (SPG, tolerance verdict, SPG diff, attribution) is a
+query over :meth:`WaitLog.by_shape`, one pass that counts and sums by shape.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.events.base import WaitEdges
 
@@ -155,3 +157,24 @@ class WaitLog(RowLog):
     def _build(shape: tuple, start: float, end: float) -> WaitRecord:
         name, node, kind, event, edges, timed_out, dedication = shape
         return WaitRecord(name, node, kind, event, edges, start, end, timed_out, dedication)
+
+    def by_shape(self) -> List[Tuple[tuple, int, float]]:
+        """``(shape, count, total waited ms)`` per shape, in first-seen shape
+        order: the one pass over the waits, column by column."""
+        counts, totals = [0] * len(self.shapes), [0.0] * len(self.shapes)
+        times = iter(self.times)
+        for index, start, end in zip(self.shape_of, times, times):
+            counts[index] += 1
+            totals[index] += end - start
+        return list(zip(self.shapes, counts, totals))
+
+
+def wait_log(records: Iterable[WaitRecord]) -> WaitLog:
+    """``records`` itself if it is a :class:`WaitLog`, else its waits folded into one."""
+    if isinstance(records, WaitLog):
+        return records
+    log = WaitLog()
+    for wait in records:
+        shape = (wait.coro_name, wait.node, wait.event_kind, wait.event_name, tuple(wait.edges))
+        log.add(shape + (wait.timed_out, wait.dedication), wait.started_at, wait.ended_at)
+    return log

@@ -1,6 +1,6 @@
 """Slowness propagation graphs (Figure 2).
 
-The SPG aggregates thousands of per-coroutine wait records into a
+The SPG aggregates a run's wait shapes (:meth:`WaitLog.by_shape`) into a
 node-granularity digraph. Each directed edge ``A → B`` means "a coroutine
 on A waited for something B was supposed to produce". Edge color encodes
 the wait type exactly as in the paper: a wait on a basic event contributes
@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from repro.trace.records import WaitRecord
-
-# Kinds that merely combine other waits ("and"/"or"): their wait_edges()
-# recursively defer to grandchildren, so edge color is decided per edge.
-_TRANSPARENT_KINDS = frozenset({"and", "or"})
+from repro.trace.records import WaitRecord, wait_log
 
 
 class SpgEdge:
@@ -32,9 +28,6 @@ class SpgEdge:
         self.label_counts: Dict[str, int] = {}
         self.count = 0
         self.total_wait_ms = 0.0
-
-    def add_label(self, label: str) -> None:
-        self.label_counts[label] = self.label_counts.get(label, 0) + 1
 
     @property
     def quorum_label(self) -> str:
@@ -85,7 +78,7 @@ class Spg:
         return len(self.edges)
 
 
-def _edge_color(record: WaitRecord, k: int, n: int) -> str:
+def _edge_color(k: int, n: int) -> str:
     """Green iff the wait tolerates at least one slow source.
 
     The decision is purely per-edge: ``wait_edges()`` already pushed each
@@ -113,57 +106,42 @@ def build_spg(records: Iterable[WaitRecord]) -> Spg:
     """
     edges: Dict[Tuple[str, str], SpgEdge] = {}
     graph = Spg()
-    for record in records:
-        if record.node is None:
+    for (_coro, node, _kind, _event, wait_edges, *_), count, total in wait_log(records).by_shape():
+        if node is None:
             continue
-        graph.add_node(record.node)
-        for source, k, n in record.edges:
-            if source == record.node:
+        graph.add_node(node)
+        for source, k, n in wait_edges:
+            if source == node:
                 continue  # local waits (disk, CPU, timers) are not SPG edges
             graph.add_node(source)
-            color = _edge_color(record, k, n)
-            key = (record.node, source)
-            edge = edges.get(key)
+            color = _edge_color(k, n)
+            edge = edges.get((node, source))
             if edge is None:
-                edge = SpgEdge(record.node, source, color)
-                edges[key] = edge
-            elif color == "red" and edge.color == "green":
+                edge = edges[(node, source)] = SpgEdge(node, source, color)
+            elif color == "red":
                 # One single-event wait is enough to propagate slowness:
                 # red dominates when shapes are mixed.
                 edge.color = "red"
-            edge.add_label(f"{k}/{n}")
-            edge.count += 1
-            edge.total_wait_ms += record.waited_ms
+            label = f"{k}/{n}"
+            edge.label_counts[label] = edge.label_counts.get(label, 0) + count
+            edge.count += count
+            edge.total_wait_ms += total
     # Edges go in grouped by waiter, waiters in first-seen order: readers
     # that sum floats over ``edges(data=True)`` keep the order they had.
     rank = {node: index for index, node in enumerate(graph.nodes)}
     for (src, dst), edge in sorted(edges.items(), key=lambda item: rank[item[0][0]]):
-        graph.add_edge(
-            src,
-            dst,
-            color=edge.color,
-            label=edge.quorum_label,
-            count=edge.count,
-            total_wait_ms=edge.total_wait_ms,
-        )
+        label, count, total = edge.quorum_label, edge.count, edge.total_wait_ms
+        graph.add_edge(src, dst, color=edge.color, label=label, count=count, total_wait_ms=total)
     return graph
 
 
 def single_wait_edges(graph: Spg) -> List[Tuple[str, str]]:
     """The red edges: places where one fail-slow node stalls another."""
-    return [
-        (src, dst)
-        for src, dst, data in graph.edges(data=True)
-        if data["color"] == "red"
-    ]
+    return [(src, dst) for src, dst, data in graph.edges(data=True) if data["color"] == "red"]
 
 
 def quorum_edges(graph: Spg) -> List[Tuple[str, str]]:
-    return [
-        (src, dst)
-        for src, dst, data in graph.edges(data=True)
-        if data["color"] == "green"
-    ]
+    return [(src, dst) for src, dst, data in graph.edges(data=True) if data["color"] == "green"]
 
 
 def render_spg(graph: Spg) -> str:

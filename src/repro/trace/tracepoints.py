@@ -224,9 +224,3 @@ class Tracer:
             listener = getattr(sink, hook, None)
             if listener is not None:
                 listeners.append(listener)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def waits_from(self, node: str) -> List[WaitRecord]:
-        return [record for record in self.records if record.node == node]

@@ -11,39 +11,67 @@ Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.trace.tracepoints import WaitRecord
+from repro.trace.records import WaitRecord, wait_log
 
 
+def memberships(groups: Sequence[Sequence[str]]) -> Dict[str, frozenset]:
+    """Each node's set of replica-group indices (a fabric node hosts several)."""
+    member_of: Dict[str, set] = {}
+    for index, members in enumerate(groups):
+        for member in members:
+            member_of.setdefault(member, set()).add(index)
+    return {node: frozenset(indices) for node, indices in member_of.items()}
+
+
+def scoped_edges(
+    node: str, edges, membership: Dict[str, frozenset]
+) -> List[Tuple[str, int, int, str]]:
+    """One wait's remote edges as ``(source, k, n, scope)``: the one "same group" rule.
+
+    ``group`` when waiter and source share a replica group; ``xgroup`` when
+    both are grouped but disjoint, or when the wait fans into two disjoint
+    groups at once (a 2PC prepare racing several shards' votes, even from an
+    ungrouped client); otherwise ``boundary``.
+    """
+    empty: frozenset = frozenset()
+    remote = [(source, k, n) for source, k, n in edges if source != node]
+    reached = [membership.get(source, empty) for source, _k, _n in remote]
+    spans = any(a and b and not (a & b) for i, a in enumerate(reached) for b in reached[i + 1 :])
+    waiter = membership.get(node, empty)
+    scoped = []
+    for (source, k, n), theirs in zip(remote, reached):
+        if waiter & theirs:
+            scope = "group"
+        elif (waiter and theirs) or spans:
+            scope = "xgroup"
+        else:
+            scope = "boundary"
+        scoped.append((source, k, n, scope))
+    return scoped
+
+
+@dataclass
 class Violation:
-    """One wait that breaks the fail-slow tolerance property."""
+    """One code site (wait shape) whose ``count`` waits on ``source`` break the
+    property (one per reason, should one wait's edges to a source disagree on k/n)."""
 
-    __slots__ = ("record", "source", "reason")
-
-    def __init__(self, record: WaitRecord, source: str, reason: str):
-        self.record = record
-        self.source = source
-        self.reason = reason
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Violation {self.record.node}->{self.source}: {self.reason}>"
+    shape: tuple
+    source: str
+    reason: str
+    count: int = 0
 
 
+@dataclass
 class ToleranceReport:
     """Outcome of checking a trace against the tolerance property."""
 
-    def __init__(
-        self,
-        violations: List[Violation],
-        boundary_waits: List[Tuple[str, str]],
-        checked_waits: int,
-        dedicated_waits: int = 0,
-    ):
-        self.violations = violations
-        self.boundary_waits = boundary_waits
-        self.checked_waits = checked_waits
-        self.dedicated_waits = dedicated_waits
+    violations: List[Violation]
+    boundary_waits: Dict[Tuple[str, str], int]  # (waiter, source) -> waits
+    checked_waits: int
+    dedicated_waits: int = 0
 
     @property
     def tolerant(self) -> bool:
@@ -54,14 +82,15 @@ class ToleranceReport:
         lines = [
             f"fail-slow tolerance: {status} "
             f"({self.checked_waits} inter-node waits checked, "
-            f"{len(self.violations)} violations, "
-            f"{len(self.boundary_waits)} group-boundary waits, "
+            f"{sum(violation.count for violation in self.violations)} violations, "
+            f"{sum(self.boundary_waits.values())} group-boundary waits, "
             f"{self.dedicated_waits} dedicated-stream waits)"
         ]
         for violation in self.violations[:20]:
+            _coro, node, _kind, event = violation.shape[:4]
             lines.append(
-                f"  VIOLATION {violation.record.node} -> {violation.source}: "
-                f"{violation.reason} (event {violation.record.event_name!r})"
+                f"  VIOLATION {node} -> {violation.source}: "
+                f"{violation.reason} (event {event!r}) x{violation.count}"
             )
         return "\n".join(lines)
 
@@ -76,47 +105,37 @@ def check_fail_slow_tolerance(
     Within a group, a wait must satisfy k < n — waiting on *all* members
     (k == n), or on a single member (1/1 basic event), propagates any one
     member's slowness. Between groups (clients, cross-shard), waits are
-    collected as ``boundary_waits`` rather than violations.
+    counted in ``boundary_waits`` rather than flagged.
     """
-    group_of: Dict[str, int] = {}
-    for group_index, members in enumerate(groups):
-        for member in members:
-            if member in group_of:
-                raise ValueError(f"node {member!r} appears in two groups")
-            group_of[member] = group_index
+    membership = memberships(groups)
+    for node, indices in membership.items():
+        if len(indices) > 1:
+            raise ValueError(f"node {node!r} appears in two groups")
 
-    violations: List[Violation] = []
-    boundary: List[Tuple[str, str]] = []
+    violations: Dict[tuple, Violation] = {}
+    boundary: Dict[Tuple[str, str], int] = {}
     checked = 0
     dedicated = 0
-    for record in records:
-        if record.node is None:
+    for shape, count, _total in wait_log(records).by_shape():
+        _coro, node, kind, _event, edges, _timed_out, dedication = shape
+        if node is None:
             continue
-        for source, k, n in record.edges:
-            if source == record.node:
-                continue
-            checked += 1
-            same_group = (
-                record.node in group_of
-                and source in group_of
-                and group_of[record.node] == group_of[source]
-            )
-            if not same_group:
-                boundary.append((record.node, source))
-                continue
-            if getattr(record, "dedication", None) == source:
+        for source, k, n, scope in scoped_edges(node, edges, membership):
+            checked += count
+            if scope != "group":
+                boundary[(node, source)] = boundary.get((node, source), 0) + count
+            elif dedication == source:
                 # A per-peer maintenance stream (e.g. log repair) waiting
                 # on its own peer: the slowness it absorbs affects only
                 # work done on that peer's behalf.
-                dedicated += 1
-                continue
-            if record.event_kind == "quorum" and k < n:
-                continue
-            if record.event_kind in ("and", "or") and k < n:
-                continue  # nested quorum slack survives composition
-            if record.event_kind == "quorum":
-                reason = f"quorum wait requires all members ({k}/{n})"
-            else:
-                reason = f"single-event wait ({record.event_kind}, {k}/{n})"
-            violations.append(Violation(record, source, reason))
-    return ToleranceReport(violations, boundary, checked, dedicated)
+                dedicated += count
+            elif k >= n or kind not in ("quorum", "and", "or"):
+                # And/Or records carry their grandchildren's k/n: nested
+                # quorum slack survives composition.
+                if kind == "quorum":
+                    reason = f"quorum wait requires all members ({k}/{n})"
+                else:
+                    reason = f"single-event wait ({kind}, {k}/{n})"
+                key = (shape, source, reason)
+                violations.setdefault(key, Violation(shape, source, reason)).count += count
+    return ToleranceReport(list(violations.values()), boundary, checked, dedicated)

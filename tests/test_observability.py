@@ -7,7 +7,7 @@ from repro.detector.peer_monitor import analyze_peer_slowness
 from repro.faults.injector import FaultInjector
 from repro.raft.config import RaftConfig
 from repro.raft.service import deploy_depfast_raft, wait_for_leader
-from repro.trace.breakdown import busiest_waits, node_wait_breakdown, render_breakdown
+from repro.trace.analysis import busiest_waits, node_wait_breakdown, render_breakdown
 from repro.trace.tracepoints import WaitRecord
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.ycsb import YcsbWorkload

@@ -237,7 +237,7 @@ class TestToleranceChecker:
         records = [record("c1", "rpc", [("s1", 1, 1)])]
         report = check_fail_slow_tolerance(records, self.GROUPS)
         assert report.tolerant
-        assert report.boundary_waits == [("c1", "s1")]
+        assert report.boundary_waits == {("c1", "s1"): 1}
 
     def test_node_in_two_groups_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ class TestToleranceChecker:
         records = [record("s1", "rpc", [("t1", 1, 1)])]
         report = check_fail_slow_tolerance(records, groups)
         assert report.tolerant
-        assert report.boundary_waits == [("s1", "t1")]
+        assert report.boundary_waits == {("s1", "t1"): 1}
         assert report.checked_waits == 1
 
     def test_quorum_k_boundaries(self):

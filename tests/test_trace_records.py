@@ -1,5 +1,5 @@
-"""The column-wise trace logs, the SPG's own digraph, what ``import repro`` loads and how
-many wait shapes a run interns.
+"""The column-wise trace logs, the SPG's own digraph, what ``import repro`` loads, how
+many wait shapes a run interns, and every reader of a run against its per-wait oracle.
 
 ``Tracer.records`` used to be a list of :class:`WaitRecord` objects and the
 SPG a ``networkx.DiGraph``; both were replaced in place, so these tests pin
@@ -19,14 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.spgdiff import RuntimeEdge, _runtime_edges
 from repro.bench.determinism import SCENARIOS
 from repro.events.base import Event
 from repro.events.basic import RpcEvent
 from repro.events.compound import QuorumEvent
 from repro.sim.kernel import Kernel
+from repro.trace import analysis
 from repro.trace.records import WaitLog
 from repro.trace.spg import Spg, build_spg
 from repro.trace.tracepoints import Tracer, WaitRecord
+from repro.trace.verify import check_fail_slow_tolerance
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 BENCH_PERF = SRC.parent / "benchmarks" / "perf"
@@ -376,3 +379,197 @@ def test_build_spg_lists_edges_in_the_order_networkx_did(waits):
         theirs.add_edge(src, dst, **ours.edges[(src, dst)])
     assert list(ours.nodes) == list(theirs.nodes)
     assert ours.edges(data=True) == list(theirs.edges(data=True))
+
+
+# ----------------------------------------------------------------------
+# Every reader of a run is a query over shapes: the per-wait loops the
+# readers were before, kept here as oracles
+# ----------------------------------------------------------------------
+_NODES = ["s1", "s2", "s3", "t1", "t2", "c1"]
+_GROUPS = [["s1", "s2", "s3"], ["t1", "t2"]]
+_OVERLAPPING = [["s1", "s2", "s3"], ["s3", "t1", "t2"]]  # a fabric node hosts two groups
+_edge = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.sampled_from(_NODES), st.integers(1, n), st.just(n))
+)
+
+
+@st.composite
+def _wide_shape(draw):
+    edges = draw(st.lists(_edge, max_size=3).map(tuple))
+    # A stream is often dedicated to a peer it waits on (the exempt case).
+    dedication = draw(st.sampled_from([None, "t1"] + [source for source, _k, _n in edges]))
+    return (
+        draw(st.sampled_from(["appender", "batcher", "client-7"])),
+        draw(st.sampled_from(_NODES + [None])),
+        dedication,
+        draw(st.sampled_from(["quorum", "and", "or", "rpc", "disk"])),
+        draw(st.sampled_from(["repl", "ack", "fsync"])),
+        edges,
+        draw(st.booleans()),
+    )
+
+
+# Waits drawn from a few shapes, so most shapes repeat; the second float is
+# the wait's length (totals are sums of non-negative floats).
+_wide_waits = st.lists(_wide_shape(), min_size=1, max_size=6).flatmap(
+    lambda shapes: st.lists(st.tuples(st.sampled_from(shapes), _times, _times), max_size=60)
+)
+
+
+def _oracle_spg(records):
+    nodes, edges = {}, {}
+    for record in records:
+        if record.node is None:
+            continue
+        nodes[record.node] = None
+        for source, k, n in record.edges:
+            if source == record.node:
+                continue
+            nodes[source] = None
+            color = "green" if k < n else "red"
+            edge = edges.setdefault((record.node, source), [color, {}, 0, 0.0])
+            if color == "red":
+                edge[0] = "red"
+            edge[1][f"{k}/{n}"] = edge[1].get(f"{k}/{n}", 0) + 1
+            edge[2] += 1
+            edge[3] += record.waited_ms
+    rank = {node: index for index, node in enumerate(nodes)}
+    ordered = sorted(edges.items(), key=lambda item: rank[item[0][0]])
+    return list(nodes), [
+        (src, dst, color, max(labels.items(), key=lambda item: item[1])[0], count, total)
+        for (src, dst), (color, labels, count, total) in ordered
+    ]
+
+
+def _oracle_verdict(records, groups):
+    group_of = {member: index for index, members in enumerate(groups) for member in members}
+    sites, boundary, checked, dedicated = {}, {}, 0, 0
+    for record in records:
+        if record.node is None:
+            continue
+        for source, k, n in record.edges:
+            if source == record.node:
+                continue
+            checked += 1
+            if group_of.get(record.node, -1) != group_of.get(source, -2):
+                boundary[(record.node, source)] = boundary.get((record.node, source), 0) + 1
+                continue
+            if record.dedication == source:
+                dedicated += 1
+                continue
+            if record.event_kind in ("quorum", "and", "or") and k < n:
+                continue
+            if record.event_kind == "quorum":
+                reason = f"quorum wait requires all members ({k}/{n})"
+            else:
+                reason = f"single-event wait ({record.event_kind}, {k}/{n})"
+            key = (fields(record)[:5] + fields(record)[7:], source, reason)
+            sites[key] = sites.get(key, 0) + 1
+    return checked, boundary, dedicated, [key + (count,) for key, count in sites.items()]
+
+
+def _oracle_runtime_edges(records, groups):
+    memberships = {}
+    for index, members in enumerate(groups):
+        for member in members:
+            memberships[member] = memberships.get(member, frozenset()) | {index}
+    empty, ordered = frozenset(), {}
+    for record in records:
+        if record.node is None:
+            continue
+        waiter = memberships.get(record.node, empty)
+        reached = [memberships.get(s, empty) for s, _k, _n in record.edges if s != record.node]
+        spans = any(a and b and not (a & b) for i, a in enumerate(reached) for b in reached[i + 1 :])
+        for source, k, n in record.edges:
+            if source == record.node:
+                continue
+            theirs = memberships.get(source, empty)
+            if waiter & theirs:
+                scope = "group"
+            elif (waiter and theirs) or spans:
+                scope = "xgroup"
+            else:
+                scope = "boundary"
+            color = "green" if k < n else "red"
+            ordered[RuntimeEdge(record.node, source, color, scope, record.dedication == source)] = None
+    return list(ordered)
+
+
+def _oracle_charges(records, node, by):
+    """Per-kind or per-event (count, total ms) of ``node``'s waits, or the
+    per-peer attribution when ``by`` is None."""
+    charges = {}
+    for record in records:
+        if node is not None and record.node != node:
+            continue
+        if by is not None:
+            count, total = charges.get(getattr(record, by), (0, 0.0))
+            charges[getattr(record, by)] = (count + 1, total + record.waited_ms)
+            continue
+        remote = [source for source, _k, _n in record.edges if source != record.node]
+        for source in remote:
+            charges[source] = charges.get(source, 0.0) + record.waited_ms / len(remote)
+    return charges
+
+
+def _close(ours, theirs):
+    """Same keys in the same order; floats within rel=1e-9 (per-shape sums
+    re-associate), everything else exactly."""
+    assert list(ours) == list(theirs)
+    for key in ours:
+        assert ours[key] == pytest.approx(theirs[key], rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(waits=_wide_waits)
+def test_every_reader_matches_its_per_wait_oracle(waits):
+    tracer, eager = Tracer(Kernel()), []
+    for (name, node, dedication, kind, event, edges, timed_out), started_at, length in waits:
+        waited = SimpleNamespace(kind=kind, name=event, wait_edges=lambda edges=edges: edges)
+        ended_at = started_at + length
+        tracer.on_wait(coro(name, node, dedication), waited, started_at, ended_at, timed_out)
+        eager.append(
+            WaitRecord(name, node, kind, event, edges, started_at, ended_at, timed_out, dedication)
+        )
+    # The tracer's own log and a plain list folded into one read the same.
+    for records in (tracer.records, eager):
+        graph = build_spg(records)
+        nodes, edges = _oracle_spg(eager)
+        assert list(graph.nodes) == nodes
+        assert [(s, d, e["color"], e["label"], e["count"]) for s, d, e in graph.edges(data=True)] == [
+            edge[:5] for edge in edges
+        ]
+        for (_s, _d, data), edge in zip(graph.edges(data=True), edges):
+            assert data["total_wait_ms"] == pytest.approx(edge[5], rel=1e-9)
+
+        report = check_fail_slow_tolerance(records, _GROUPS)
+        checked, boundary, dedicated, sites = _oracle_verdict(eager, _GROUPS)
+        assert (report.checked_waits, report.dedicated_waits) == (checked, dedicated)
+        assert list(report.boundary_waits.items()) == list(boundary.items())
+        assert [(v.shape, v.source, v.reason, v.count) for v in report.violations] == sites
+        assert report.tolerant == (not sites)
+
+        for groups in (_GROUPS, _OVERLAPPING):
+            assert _runtime_edges(records, groups) == _oracle_runtime_edges(eager, groups)
+
+        for node in [None] + _NODES:
+            _close(analysis.slowness_attribution(records, node), _oracle_charges(eager, node, None))
+        by_kind = _oracle_charges(eager, None, "event_kind")
+        _close(analysis.wait_time_by_kind(records), {k: t for k, (_c, t) in by_kind.items()})
+        for kind in ("quorum", "rpc", None):
+            rows = [row for key, row in by_kind.items() if kind in (None, key)]
+            count = sum(c for c, _t in rows)
+            mean = sum(t for _c, t in rows) / count if count else 0.0
+            assert analysis.mean_wait_ms(records, kind) == pytest.approx(mean, rel=1e-9)
+        for node in ("s1", "c1"):
+            kinds = _oracle_charges(eager, node, "event_kind")
+            whole = sum(total for _count, total in kinds.values())
+            expected = {k: (t, t / whole) for k, (_c, t) in sorted(kinds.items())} if whole else {}
+            _close(analysis.node_wait_breakdown(records, node), expected)
+            # Three event names fit the top five; equal totals may swap by an ulp.
+            events = _oracle_charges(eager, node, "event_name")
+            ours = analysis.busiest_waits(records, node)
+            assert [t for *_, t in ours] == sorted((t for *_, t in ours), reverse=True)
+            assert sorted(name for name, _c, _t in ours) == sorted(events)
+            for name, count, total in ours:
+                assert (count, total) == (events[name][0], pytest.approx(events[name][1], rel=1e-9))
