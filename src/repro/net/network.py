@@ -165,7 +165,8 @@ class Connection:
         batch = [message]
         self._batch = batch
         self._batch_time = arrival
-        self._batch_seq = kernel.schedule_at(arrival, self._deliver_batch, batch).seq
+        kernel.schedule_at(arrival, self._deliver_batch, batch)
+        self._batch_seq = kernel._seq
 
     def _deliver_batch(self, batch: list) -> None:
         # The event owns its list; only clear the merge window if it is

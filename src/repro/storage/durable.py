@@ -129,20 +129,20 @@ class DurableRaftState:
         next index, above no unstaged entry (the WAL is written in index
         order); ``RaftLog.append_or_overwrite`` resolves conflicts.
         """
-        log, seqs = self._log, self._seqs
+        log, seqs, first = self._log, self._seqs, self.snapshot_index + 1
         for entry in entries:
-            offset = entry.index - self.snapshot_index - 1
+            offset = entry.index - first
             if not 0 <= offset <= len(log) or offset < len(log) and log[offset].term != entry.term:
                 raise ValueError(
                     f"{self.node_id}: cannot stage index {entry.index} (term {entry.term}) against"
-                    f" the retained run {self.snapshot_index + 1}..{self.snapshot_index + len(log)}"
+                    f" the retained run {first}..{first + len(log) - 1}"
                 )
             if offset and seqs[offset - 1] == UNSTAGED:
                 raise ValueError(f"{self.node_id}: stage index {entry.index - 1} before {entry.index}")
-            if offset == len(log):
-                self.append(entry)
-            self._seq += 1
-            seqs[offset] = self._seq
+            if offset == len(log):  # the run's next index: the bounds check proved it
+                log.append(entry)
+                seqs.append(UNSTAGED)
+            self._seq = seqs[offset] = self._seq + 1
 
     def begin_sync(self) -> int:
         """The token of an fsync about to start: it covers all staged so far.

@@ -163,11 +163,11 @@ class TestLifetimes:
         assert live(_PendingWait, ValueEvent) == 0
         # The cancelled timeout is still queued (lazy deletion) until its
         # due time, and holds nothing.
-        assert kernel.pending() == 0 and kernel._size == 1
-        (dead,) = kernel._buckets[50.0]
-        assert dead.cancelled and dead.fn is None and dead.args is None
+        assert kernel.pending() == 0 and not kernel._ready
+        (dead,) = kernel._heap
+        assert dead.time == 50.0 and dead.cancelled and dead.fn is None and dead.args is None
         kernel.run(60.0)
-        assert kernel._size == 0
+        assert kernel._heap == []
 
     def test_timed_wait_that_times_out_is_gone_too(self, collector_off):
         rt = make_runtime()
@@ -256,7 +256,7 @@ class TestScheduledCallCancel:
                 call.cancel()
                 assert call.fn is None and call.args is None
         # Cancelled entries outnumbered live ones on the way: compacted.
-        assert kernel.pending() == len(keep) <= kernel._size < _COMPACT_MIN_SIZE
+        assert kernel.pending() == len(keep) <= len(kernel._heap) < _COMPACT_MIN_SIZE
         kernel.run_until_idle()
         assert ran == [call.args[0] for call in keep]
 

@@ -60,25 +60,36 @@ def test_kernel_clock_never_goes_backwards(delays):
 
 
 # ---------------------------------------------------------------------------
-# Indexed bucket queue vs. reference heapq kernel
+# Heap + FIFO queue vs. reference heapq kernel
 # ---------------------------------------------------------------------------
+class _Boom(Exception):
+    """Raised by a callback in the middle of an instant."""
+
+
 class _ReferenceKernel:
-    """The pre-PR5 kernel, reduced to its semantics: one (time, seq) heap
-    with lazy-deletion flags. The production indexed-bucket queue must be
-    observationally identical to this under any interleaving of schedule /
-    cancel / reschedule / run."""
+    """A kernel reduced to its semantics: one (time, seq) heap with
+    lazy-deletion flags, ``call_soon`` being a zero-delay schedule.
+    The production heap + FIFO queue must be observationally identical to
+    this under any interleaving of schedule / call_soon / cancel /
+    reschedule / stop / raise / run, from outside a run or from inside a
+    callback."""
 
     def __init__(self):
         self.now = 0.0
         self._heap = []
         self._seq = 0
+        self._stopped = False
         self.fired = []
+        self.handles = []
 
-    def schedule(self, delay, tag, chain_delay=None):
+    def schedule_at(self, time_ms, tag, action=None):
         self._seq += 1
-        entry = [self.now + delay, self._seq, tag, chain_delay, False]
+        entry = [time_ms, self._seq, tag, action, False]
         heapq.heappush(self._heap, entry)
         return entry
+
+    def schedule(self, delay, tag, action=None):
+        return self.schedule_at(self.now + delay, tag, action)
 
     @staticmethod
     def cancel(entry):
@@ -88,85 +99,141 @@ class _ReferenceKernel:
         return sum(1 for entry in self._heap if not entry[4])
 
     def run(self, until_ms):
-        while self._heap and self._heap[0][0] <= until_ms:
-            time_ms, _seq, tag, chain_delay, cancelled = heapq.heappop(self._heap)
+        self._stopped = False
+        while self._heap and self._heap[0][0] <= until_ms and not self._stopped:
+            time_ms, _seq, tag, action, cancelled = heapq.heappop(self._heap)
             if cancelled:
                 continue
             self.now = time_ms
             self.fired.append((tag, time_ms))
-            if chain_delay is not None:
-                self.schedule(chain_delay, f"{tag}+chain")
-        self.now = max(self.now, until_ms)
+            if action is not None:
+                self._act(tag, action)
+        if not self._stopped:
+            self.now = max(self.now, until_ms)
+
+    def _act(self, tag, action):
+        kind = action[0]
+        if kind == "chain":
+            self.handles.append(self.schedule(action[1], f"{tag}>chain"))
+        elif kind == "soon":
+            self.schedule(0.0, f"{tag}>soon")
+        elif kind == "zero":
+            self.handles.append(self.schedule(0.0, f"{tag}>zero"))
+        elif kind == "at_now":
+            self.handles.append(self.schedule_at(self.now, f"{tag}>at"))
+        elif kind == "cancel":
+            if self.handles:
+                self.cancel(self.handles[action[1] % len(self.handles)])
+        elif kind == "stop":
+            self._stopped = True
+        else:
+            raise _Boom(tag)
 
 
 # Small palette with repeats so same-timestamp batches actually happen.
 _DELAYS = st.sampled_from([0.0, 0.25, 1.0, 1.0, 2.5, 5.0, 10.0]) | st.floats(
     min_value=0.0, max_value=20.0, allow_nan=False
 )
+# What a callback does when it fires, in the middle of its instant.
+_ACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("chain"), _DELAYS),
+    st.tuples(st.sampled_from(["soon", "zero", "at_now", "stop", "raise"])),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1_000)),
+)
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_indexed_queue_equivalent_to_reference_heapq(data):
-    """Random push/pop/cancel/reschedule programs: bucket queue == heapq."""
+    """Random programs, run from outside and from inside callbacks: the
+    heap + FIFO queue fires what a (time, seq) heap fires, in its order,
+    at its times, and ``pending()`` agrees after every run — also after a
+    ``stop()`` or an exception left the rest of an instant queued."""
     kernel = Kernel()
     ref = _ReferenceKernel()
     fired = []
-    handles = []  # (ScheduledCall, reference entry)
+    handles = []  # ScheduledCalls, in the order ref.handles gets entries
 
-    def fire(tag, chain_delay):
+    def fire(tag, action):
         fired.append((tag, kernel.now))
-        if chain_delay is not None:
-            kernel.schedule(chain_delay, fire, f"{tag}+chain", None)
+        if action is None:
+            return
+        kind = action[0]
+        if kind == "chain":
+            handles.append(kernel.schedule(action[1], fire, f"{tag}>chain", None))
+        elif kind == "soon":
+            assert kernel.call_soon(fire, f"{tag}>soon", None) is None
+        elif kind == "zero":
+            handles.append(kernel.schedule(0.0, fire, f"{tag}>zero", None))
+        elif kind == "at_now":
+            handles.append(kernel.schedule_at(kernel.now, fire, f"{tag}>at", None))
+        elif kind == "cancel":
+            if handles:
+                handles[action[1] % len(handles)].cancel()
+        elif kind == "stop":
+            kernel.stop()
+        else:
+            raise _Boom(tag)
+
+    def both_run(until):
+        outcomes = []
+        for run in (kernel.run, ref.run):
+            try:
+                run(until)
+                outcomes.append(None)
+            except _Boom as boom:
+                outcomes.append(str(boom))
+        assert outcomes[0] == outcomes[1]
+        assert fired == ref.fired
+        assert kernel.now == ref.now
+        assert kernel.pending() == ref.pending()
+        assert kernel.events_executed == len(fired)
 
     n_ops = data.draw(st.integers(min_value=1, max_value=40))
     for op_index in range(n_ops):
         op = data.draw(
-            st.sampled_from(["schedule", "schedule", "chain", "cancel", "resched", "run"])
+            st.sampled_from(
+                ["schedule", "schedule", "at", "soon", "cancel", "resched", "run", "run"]
+            )
         )
+        tag = f"e{op_index}"
         if op == "schedule" or (op in ("cancel", "resched") and not handles):
             delay = data.draw(_DELAYS)
-            tag = f"e{op_index}"
-            handles.append(
-                (kernel.schedule(delay, fire, tag, None), ref.schedule(delay, tag))
-            )
-        elif op == "chain":
-            delay = data.draw(_DELAYS)
-            chain_delay = data.draw(_DELAYS)
-            tag = f"e{op_index}"
-            handles.append(
-                (
-                    kernel.schedule(delay, fire, tag, chain_delay),
-                    ref.schedule(delay, tag, chain_delay),
-                )
-            )
+            action = data.draw(_ACTIONS)
+            handles.append(kernel.schedule(delay, fire, tag, action))
+            ref.handles.append(ref.schedule(delay, tag, action))
+        elif op == "at":
+            time_ms = kernel.now + data.draw(_DELAYS)
+            action = data.draw(_ACTIONS)
+            handles.append(kernel.schedule_at(time_ms, fire, tag, action))
+            ref.handles.append(ref.schedule_at(time_ms, tag, action))
+        elif op == "soon":
+            action = data.draw(_ACTIONS)
+            kernel.call_soon(fire, tag, action)
+            ref.schedule(0.0, tag, action)
         elif op == "cancel":
-            call, entry = data.draw(st.sampled_from(handles))
-            call.cancel()
-            ref.cancel(entry)
+            index = data.draw(st.integers(min_value=0, max_value=len(handles) - 1))
+            handles[index].cancel()
+            ref.cancel(ref.handles[index])
         elif op == "resched":
             # Reschedule = cancel + schedule again at a fresh delay.
-            call, entry = data.draw(st.sampled_from(handles))
-            call.cancel()
-            ref.cancel(entry)
+            index = data.draw(st.integers(min_value=0, max_value=len(handles) - 1))
+            handles[index].cancel()
+            ref.cancel(ref.handles[index])
             delay = data.draw(_DELAYS)
-            tag = f"e{op_index}r"
-            handles.append(
-                (kernel.schedule(delay, fire, tag, None), ref.schedule(delay, tag))
-            )
+            handles.append(kernel.schedule(delay, fire, f"{tag}r", None))
+            ref.handles.append(ref.schedule(delay, f"{tag}r"))
         else:  # run
-            until = kernel.now + data.draw(_DELAYS)
-            kernel.run(until_ms=until)
-            ref.run(until)
-            assert kernel.now == ref.now
-            assert fired == ref.fired
+            both_run(kernel.now + data.draw(_DELAYS))
+        assert kernel.pending() == ref.pending()
 
-    horizon = kernel.now + 1000.0
-    kernel.run(until_ms=horizon)
-    ref.run(horizon)
-    assert fired == ref.fired
-    assert kernel.now == ref.now
-    assert kernel.pending() == ref.pending()
+    # Drain: a stop() or a raise ends a run early, so keep running.
+    for _ in range(4 * n_ops + 2):
+        both_run(kernel.now + 1000.0)
+        if not kernel.pending():
+            break
+    assert kernel.pending() == ref.pending() == 0
 
 
 # ---------------------------------------------------------------------------

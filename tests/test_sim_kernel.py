@@ -247,38 +247,49 @@ def test_events_executed_counts_only_live_events():
     assert kernel.events_executed == 2
 
 
-def test_heap_holds_distinct_timestamps_not_events():
-    """Timing-free guard against a return to one heap entry per event.
+def test_heap_holds_exactly_the_pending_future_calls():
+    """Timing-free guard on the queue's shape: one heap entry per pending
+    future call, and none for same-instant work.
 
-    The shape the deleted events/sec gate timed: 20 000 callbacks over 97
-    distinct due-times. A per-event heap holds 20 000 entries here.
+    Nearly every future call opens a timestamp of its own (a raft_read
+    episode: 88 942 schedules, every one a new due-time), so the heap is
+    keyed by call, not by timestamp; ``call_soon``, ``schedule(0)`` and
+    ``schedule_at(now)`` join the FIFO of the current instant instead.
     """
     kernel = Kernel()
     for i in range(20_000):
-        kernel.schedule(float(i % 97), lambda: None)
-    assert len(kernel._times) == 97
-    assert kernel.pending() == 20_000
+        kernel.schedule(float(i % 97 + 1), lambda: None)
+    cancelled = kernel.schedule(500.0, lambda: None)
+    cancelled.cancel()
+    kernel.call_soon(lambda: None)
+    kernel.schedule(0.0, lambda: None)
+    kernel.schedule_at(kernel.now, lambda: None)
+    assert len(kernel._heap) == 20_001 and len(kernel._ready) == 3
+    assert all(call.time > kernel.now for call in kernel._heap)  # the cancelled one is lazy
+    assert kernel.pending() == 20_003
     kernel.run_until_idle()
-    assert kernel.events_executed == 20_000
-    assert kernel._times == []
+    assert kernel.events_executed == 20_003
+    assert kernel._heap == [] and not kernel._ready and kernel.pending() == 0
 
 
 def test_call_soon_cascade_adds_no_heap_entries():
-    """Same-time work joins the bucket being drained, not the heap."""
+    """Same-time work joins the FIFO of the current instant, not the heap."""
     kernel = Kernel()
     added = []
 
     def burst():
-        before = len(kernel._times)
+        before = len(kernel._heap)
         for _ in range(1_000):
             kernel.call_soon(lambda: None)
-        added.append(len(kernel._times) - before)
+            kernel.schedule(0.0, lambda: None)
+        added.append(len(kernel._heap) - before)
 
     kernel.schedule(5.0, burst)
     kernel.schedule(9.0, lambda: None)
     kernel.run(until_ms=5.0)
     assert added == [0]
-    assert kernel.events_executed == 1_001
+    assert kernel.events_executed == 2_001
+    assert len(kernel._heap) == kernel.pending() == 1
 
 
 def test_cancel_after_execution_is_a_noop():
