@@ -1,11 +1,14 @@
 """Shared machinery for the baseline (fixed-leader) RSMs.
 
 The baselines share DepFastRaft's request path and cost model — client
-admission, log append, WAL group commit, follower-side serialization,
-apply — so that the *only* difference between Figure 1 and Figure 3 is the
+admission and the batch cut are the same code
+(:class:`repro.cluster.leader.ProposalQueue`), and log append, WAL group
+commit, follower-side serialization and apply use the same costs — so
+that the *only* difference between Figure 1 and Figure 3 is the
 replication wait structure each subclass implements in
 :meth:`BaselineRsm._replicate_batch` (plus any extra background behaviour
-installed in :meth:`BaselineRsm._on_leader_start`).
+installed in :meth:`BaselineRsm._on_leader_start`). One batcher serves
+all three; the TiDB-like one only renames its coroutine.
 
 Leadership is fixed (the paper measures a steady data path, not
 elections): if the leader dies — as the RethinkDB-like leader does under
@@ -15,10 +18,10 @@ crashed-leader runs look like.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.cluster.leader import ProposalQueue
 from repro.cluster.node import Node
 from repro.events.base import Event
 from repro.events.basic import RpcEvent, ValueEvent
@@ -52,18 +55,11 @@ class BaselineConfig:
     wire_amplification: float = 1.0
 
 
-class _PendingOp:
-    __slots__ = ("op", "done")
-
-    def __init__(self, op, done: ValueEvent):
-        self.op = op
-        self.done = done
-
-
 class BaselineRsm:
     """One member of a fixed-leader baseline RSM group."""
 
     system_name = "baseline"
+    _batcher_name = "batcher"  # the leader's batcher coroutine is "<id>:<_batcher_name>"
 
     def __init__(self, node: Node, group: List[str], config: Optional[BaselineConfig] = None):
         self.node = node
@@ -82,8 +78,7 @@ class BaselineRsm:
         self._applying = False
 
         # Leader state.
-        self._pending_ops: Deque[_PendingOp] = deque()
-        self._pending_signal: Optional[ValueEvent] = None
+        self.proposals = ProposalQueue(self.rt, self.id, self.config)
         self._completions: Dict[int, ValueEvent] = {}
         self._match_index: Dict[str, int] = {peer: 0 for peer in self.peers}
         self._ack_promises: List[Tuple[str, int, Event]] = []
@@ -111,7 +106,7 @@ class BaselineRsm:
     def start(self) -> None:
         self.node.start()
         if self.is_leader:
-            self.rt.spawn(self._batcher(), name=f"{self.id}:batcher")
+            self.rt.spawn(self._batcher(), name=f"{self.id}:{self._batcher_name}")
             if self.peers:
                 self.rt.spawn(self._heartbeat_loop(), name=f"{self.id}:heartbeats")
             self._on_leader_start()
@@ -125,21 +120,16 @@ class BaselineRsm:
     def _batcher(self) -> Generator:
         cfg = self.config
         while not self.rt.crashed:
-            if not self._pending_ops:
-                self._pending_signal = ValueEvent(name=f"{self.id}:pending")
-                yield self._pending_signal.wait(timeout_ms=cfg.heartbeat_interval_ms)
-                if not self._pending_ops:
-                    continue
-            batch: List[_PendingOp] = []
-            while self._pending_ops and len(batch) < cfg.batch_max_entries:
-                batch.append(self._pending_ops.popleft())
+            batch = yield from self.proposals.next_batch()
+            if not batch:
+                continue
             first = self.log.last_index() + 1
             entries: List[LogEntry] = []
-            for offset, pending in enumerate(batch):
-                entry = LogEntry.sized(TERM, first + offset, pending.op)
+            for offset, (op, done) in enumerate(batch):
+                entry = LogEntry.sized(TERM, first + offset, op)
                 self.log.append(entry)
                 entries.append(entry)
-                self._completions[entry.index] = pending.done
+                self._completions[entry.index] = done
             last = entries[-1].index
 
             build_cost = cfg.append_base_cost_ms + (
@@ -147,20 +137,15 @@ class BaselineRsm:
             )
             yield self.rt.compute(build_cost, name="batch-build")
 
-            committed = yield from self._replicate_batch(entries, first, last)
-            if committed:
-                self.commit_index = max(self.commit_index, last)
-                self.batches_committed += 1
-                yield from self._apply_committed()
-            else:
-                for pending in batch:
-                    if not pending.done.ready():
-                        pending.done.set({"ok": False, "redirect": None}, now=self.rt.now)
+            yield from self._replicate_batch(entries, first, last)
+            self.commit_index = max(self.commit_index, last)
+            self.batches_committed += 1
+            yield from self._apply_committed()
 
     def _replicate_batch(
         self, entries: List[LogEntry], first: int, last: int
     ) -> Generator:
-        """Subclass hook: replicate one batch; returns True on commit."""
+        """Subclass hook: replicate one batch; returns once it commits."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -314,20 +299,13 @@ class BaselineRsm:
         yield from self._apply_committed()
 
     def _on_client_request(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         if not self.is_leader:
             return {"ok": False, "redirect": self.config.leader}
         if self.rt.crashed:
             return {"ok": False, "redirect": None}
-        yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
-        done = ValueEvent(name=f"{self.id}:commit-wait", source=self.id)
-        self._pending_ops.append(_PendingOp(payload["op"], done))
-        if self._pending_signal is not None and not self._pending_signal.ready():
-            self._pending_signal.set(True, now=self.rt.now)
-        result = yield done.wait(timeout_ms=cfg.client_commit_timeout_ms)
-        if result.timed_out:
-            return {"ok": False, "redirect": None}
-        return done.value
+        yield self.rt.compute(self.config.client_op_cost_ms, name="client-op")
+        reply = yield from self.proposals.commit(payload["op"])
+        return reply
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "leader" if self.is_leader else "follower"

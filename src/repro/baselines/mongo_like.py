@@ -68,7 +68,6 @@ class MongoLikeRsm(BaselineRsm):
             if stalled > 1.0:
                 self.checkpoint_stalls += 1
                 self.checkpoint_stall_ms += stalled
-        return True
 
     @classmethod
     def default_config(cls, leader: str) -> BaselineConfig:

@@ -92,7 +92,6 @@ class RethinkLikeRsm(BaselineRsm):
         yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
         while not gate.ready() and not self.rt.crashed:
             yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
-        return True
 
     def _status_sync_loop(self) -> Generator:
         """Periodic all-follower coordination that holds the write gate."""

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Generator, List
 
-from repro.baselines.base import TERM, BaselineConfig, BaselineRsm, _PendingOp
-from repro.events.basic import ValueEvent
+from repro.baselines.base import BaselineConfig, BaselineRsm
 from repro.events.compound import AndEvent
 from repro.raft.types import LogEntry, entries_size
 
@@ -35,6 +34,8 @@ class TidbLikeRsm(BaselineRsm):
     """Fixed-leader RSM whose leader runs everything on one store thread."""
 
     system_name = "tidb-like"
+    # The whole leader data path runs in this one coroutine.
+    _batcher_name = "store-loop"
 
     pipeline_cap_entries = 256
     probe_window_entries = 128
@@ -53,70 +54,31 @@ class TidbLikeRsm(BaselineRsm):
         # a few hundred entries already falls off it.
         return BaselineConfig(leader=leader, entry_cache_entries=512)
 
-    def start(self) -> None:
-        # Replace the generic batcher with the single store loop: the
-        # whole leader data path runs in this one coroutine.
-        self.node.start()
-        if self.is_leader:
-            self.rt.spawn(self._store_loop(), name=f"{self.id}:store-loop")
-            if self.peers:
-                self.rt.spawn(self._heartbeat_loop(), name=f"{self.id}:heartbeats")
-
-    def _replicate_batch(self, entries, first, last):  # pragma: no cover
-        raise NotImplementedError("tidb-like replaces the batcher entirely")
-        yield  # marks this as a generator
-
     # ------------------------------------------------------------------
-    # The store loop
+    # The store loop: the base batcher, named for the one store thread
     # ------------------------------------------------------------------
-    def _store_loop(self) -> Generator:
+    def _replicate_batch(self, entries: List[LogEntry], first: int, last: int) -> Generator:
         cfg = self.config
-        while not self.rt.crashed:
-            if not self._pending_ops:
-                self._pending_signal = ValueEvent(name=f"{self.id}:pending")
-                yield self._pending_signal.wait(timeout_ms=cfg.heartbeat_interval_ms)
-                if not self._pending_ops:
-                    continue
-            batch: List[_PendingOp] = []
-            while self._pending_ops and len(batch) < cfg.batch_max_entries:
-                batch.append(self._pending_ops.popleft())
-            first = self.log.last_index() + 1
-            entries: List[LogEntry] = []
-            for offset, pending in enumerate(batch):
-                entry = LogEntry.sized(TERM, first + offset, pending.op)
-                self.log.append(entry)
-                entries.append(entry)
-                self._completions[entry.index] = pending.done
-            last = entries[-1].index
+        # Raftstore fsyncs raft-log writes on the store thread.
+        self.node.wal.append(entries_size(entries))
+        local_sync = self.node.wal.sync()
+        yield local_sync.wait()
 
-            build_cost = cfg.append_base_cost_ms + (
-                len(entries) * cfg.replicate_entry_cost_ms * (1 + len(self.peers))
-            )
-            yield self.rt.compute(build_cost, name="batch-build")
-
-            # Raftstore fsyncs raft-log writes on the store thread.
-            self.node.wal.append(entries_size(entries))
-            local_sync = self.node.wal.sync()
-            yield local_sync.wait()
-
-            # Generate per-peer messages — the blocking-read pathology.
-            rpcs = []
-            for peer in self.peers:
-                lag = (first - 1) - self._match_index[peer]
-                if lag <= self.pipeline_cap_entries:
-                    rpcs.append(self.send_entries(peer, first - 1, entries))
-                else:
-                    yield from self._probe_lagging_peer(peer)
-            majority = self.majority_ack_event(rpcs) if rpcs else None
-            if majority is not None:
-                gate = AndEvent(majority, name=f"{self.id}:commit-gate")
+        # Generate per-peer messages — the blocking-read pathology.
+        rpcs = []
+        for peer in self.peers:
+            lag = (first - 1) - self._match_index[peer]
+            if lag <= self.pipeline_cap_entries:
+                rpcs.append(self.send_entries(peer, first - 1, entries))
+            else:
+                yield from self._probe_lagging_peer(peer)
+        majority = self.majority_ack_event(rpcs) if rpcs else None
+        if majority is not None:
+            gate = AndEvent(majority, name=f"{self.id}:commit-gate")
+            yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+            while not gate.ready() and not self.rt.crashed:
                 yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
-                while not gate.ready() and not self.rt.crashed:
-                    yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
-            # Commit + apply, also on the store thread.
-            self.commit_index = max(self.commit_index, last)
-            self.batches_committed += 1
-            yield from self._apply_committed()
+        # Commit + apply follow in the batcher, also on the store thread.
 
     def _probe_lagging_peer(self, peer: str) -> Generator:
         """Regenerate a probe window for a peer that fell off the pipeline.

@@ -37,9 +37,8 @@ from repro.hedging.estimator import HedgeDelayEstimator
 from repro.hedging.hedge import HedgedCall, HedgePolicy
 from repro.raft.config import RaftConfig
 from repro.raft.node import RaftNode
-from repro.raft.service import depfast_node_spec
+from repro.raft.service import deploy_depfast_raft
 from repro.raft.types import LogEntry, Role
-from repro.storage.durable import DurableRaftState
 
 
 class HedgedRaftNode(RaftNode):
@@ -192,7 +191,7 @@ class HedgedRaftNode(RaftNode):
         ):
             yield self.rt.sleep(0.5)
         if self.role != Role.LEADER:
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         term = self.term
         read_index = self.commit_index
         probe: Optional[HedgedCall] = None
@@ -204,7 +203,7 @@ class HedgedRaftNode(RaftNode):
         while self.last_applied < read_index and self.role == Role.LEADER:
             yield self.rt.sleep(0.5)
         if self.role != Role.LEADER:
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         yield self.rt.compute(cfg.apply_cost_ms, name="read")
         value = self.kv.get(op[1])
         if probe is not None:
@@ -216,10 +215,10 @@ class HedgedRaftNode(RaftNode):
                 # Rollback-on-term-change: the speculated value is
                 # discarded, never released to the client.
                 self.speculation_rollbacks += 1
-                return {"ok": False, "redirect": self.leader_hint}
+                return self._redirect()
         elif not self._leading(term):
             self.speculation_rollbacks += 1
-            return {"ok": False, "redirect": self.leader_hint}
+            return self._redirect()
         self.reads_served += 1
         return {"ok": True, "result": value}
 
@@ -233,8 +232,8 @@ def deploy_hedged_raft(
     policy: Optional[HedgePolicy] = None,
     estimator: Optional[HedgeDelayEstimator] = None,
 ) -> Dict[str, HedgedRaftNode]:
-    """Create and start one HedgedRaft group (mirror of
-    :func:`repro.raft.service.deploy_depfast_raft`).
+    """Create and start one HedgedRaft group through
+    :func:`repro.raft.service.deploy_depfast_raft`.
 
     One shared :class:`HedgeDelayEstimator` is attached to the cluster
     tracer for the whole group — every node's hedge delays draw from the
@@ -248,21 +247,13 @@ def deploy_hedged_raft(
     policy = policy or HedgePolicy()
     if estimator is None:
         estimator = policy.make_estimator().attach(cluster.tracer)
-    config = config or RaftConfig(preferred_leader=group[0])
-    raft_nodes: Dict[str, HedgedRaftNode] = {}
-    for node_id in group:
-        node = cluster.add_node(node_id, spec=spec or depfast_node_spec())
-        raft_nodes[node_id] = HedgedRaftNode(
-            node,
-            group,
-            config=config,
-            rng=cluster.rng.stream(f"raft:{node_id}"),
-            state_machine=state_machine_factory() if state_machine_factory else None,
-            durable=DurableRaftState(node_id),
-            state_machine_factory=state_machine_factory,
-            hedge_policy=policy,
-            estimator=estimator,
-        )
-    for raft_node in raft_nodes.values():
-        raft_node.start()
-    return raft_nodes
+    return deploy_depfast_raft(
+        cluster,
+        group,
+        config,
+        spec,
+        state_machine_factory,
+        node_cls=HedgedRaftNode,
+        hedge_policy=policy,
+        estimator=estimator,
+    )

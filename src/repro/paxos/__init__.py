@@ -12,7 +12,10 @@ top-to-bottom in :meth:`~repro.paxos.node.PaxosNode._proposer_loop`. It
 also demonstrates §4's claim that "the design of DepFast is generic and
 is not specific to any distributed protocols": the same runtime, events,
 network, fault injector, workload driver and trace verifier host Raft
-(:mod:`repro.raft`) and Paxos unchanged.
+(:mod:`repro.raft`) and Paxos unchanged, and both leaders run one
+pipeline (:mod:`repro.cluster.leader`): the same admission and batch
+cut, late-quorum wait and apply loop, with Paxos supplying only its
+ballot, its slot-keyed completions and its repair stream.
 """
 
 from repro.paxos.config import PaxosConfig

@@ -20,9 +20,9 @@ slowness is absorbed by its own stream, never the batch path.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
+from repro.cluster.leader import LeaderReplica, ProposalQueue
 from repro.cluster.node import Node
 from repro.events.basic import RpcEvent, ValueEvent
 from repro.events.compound import QuorumEvent
@@ -31,16 +31,10 @@ from repro.paxos.config import PaxosConfig
 from repro.storage.kvstore import KvOp, KvStore
 
 
-class _PendingOp:
-    __slots__ = ("op", "done")
-
-    def __init__(self, op: KvOp, done: ValueEvent):
-        self.op = op
-        self.done = done
-
-
-class PaxosNode:
+class PaxosNode(LeaderReplica):
     """One member of a Multi-Paxos group."""
+
+    _main_name = "paxos-main"
 
     def __init__(
         self,
@@ -80,10 +74,9 @@ class PaxosNode:
         self.leader_hint: Optional[str] = None
         self._ballot_round = 0
         self._next_slot = 1
-        self._pending_ops: Deque[_PendingOp] = deque()
-        self._pending_signal: Optional[ValueEvent] = None
+        self.proposals = ProposalQueue(self.rt, self.id, self.config)
         self._completions: Dict[int, ValueEvent] = {}
-        self._peer_ack: Dict[str, int] = {}
+        self._match_index: Dict[str, int] = {}
         self._repairing: Set[str] = set()
         self._step_down: Optional[ValueEvent] = None
         self._ht_event: Optional[ValueEvent] = None
@@ -102,12 +95,14 @@ class PaxosNode:
     # ==================================================================
     # Lifecycle
     # ==================================================================
-    def start(self) -> None:
-        self.node.start()
-        self.rt.spawn(self._main_loop(), name=f"{self.id}:paxos-main")
-
     def _leading(self, ballot: int) -> bool:
         return self.is_leader and self.ballot == ballot and not self.rt.crashed
+
+    def _epoch(self) -> int:
+        return self.promised_ballot
+
+    def _held_index(self) -> int:
+        return self.contiguous_accepted
 
     def _main_loop(self) -> Generator:
         while not self.rt.crashed:
@@ -119,19 +114,6 @@ class PaxosNode:
             result = yield self._ht_event.wait(timeout_ms=self._election_timeout())
             if result.timed_out and not self.is_leader:
                 yield from self._try_become_leader()
-
-    def _election_timeout(self) -> float:
-        cfg = self.config
-        if cfg.preferred_leader is not None and self.promised_ballot == 0:
-            if cfg.preferred_leader == self.id:
-                return 10.0 + self.rng.uniform(0.0, 5.0)
-        return cfg.election_timeout_min_ms + self.rng.uniform(
-            0.0, cfg.election_timeout_max_ms - cfg.election_timeout_min_ms
-        )
-
-    def _poke_heartbeat(self) -> None:
-        if self._ht_event is not None and not self._ht_event.ready():
-            self._ht_event.set(True, now=self.rt.now)
 
     def _demote(self, promised: int, leader: Optional[str]) -> None:
         if promised > self.promised_ballot:
@@ -195,7 +177,7 @@ class PaxosNode:
         self.ballot = ballot
         self.leader_hint = self.id
         self.became_leader += 1
-        self._peer_ack = {peer: 0 for peer in self.peers}
+        self._match_index = {peer: 0 for peer in self.peers}
         self._repairing = set()
         # Adopt the highest-ballot accepted values; fill holes with noops.
         top = max(merged) if merged else self.commit_index
@@ -239,21 +221,16 @@ class PaxosNode:
             if not committed:
                 return
         while self._leading(ballot):
-            if not self._pending_ops:
-                self._pending_signal = ValueEvent(name=f"{self.id}:pending")
-                yield self._pending_signal.wait(timeout_ms=cfg.heartbeat_interval_ms)
-                if not self._pending_ops:
-                    continue
-            batch: List[_PendingOp] = []
-            while self._pending_ops and len(batch) < cfg.batch_max_entries:
-                batch.append(self._pending_ops.popleft())
+            batch = yield from self.proposals.next_batch()
+            if not batch:
+                continue
             slotted = []
-            for pending in batch:
+            for op, done in batch:
                 slot = self._next_slot
                 self._next_slot += 1
-                self.accepted[slot] = (ballot, pending.op)
-                self._completions[slot] = pending.done
-                slotted.append((slot, pending.op))
+                self.accepted[slot] = (ballot, op)
+                self._completions[slot] = done
+                slotted.append((slot, op))
             self._recompute_contiguous()
             build = cfg.accept_base_cost_ms + (
                 len(slotted) * cfg.replicate_entry_cost_ms * (1 + len(self.peers))
@@ -261,11 +238,8 @@ class PaxosNode:
             yield self.rt.compute(build, name="accept-build")
             committed = yield from self._accept_round(ballot, slotted)
             if not committed:
-                for pending in batch:
-                    if not pending.done.ready():
-                        pending.done.set(
-                            {"ok": False, "redirect": self.leader_hint}, now=self.rt.now
-                        )
+                # A give-up ends this proposer; is_leader stays set.
+                self._fail_batch(batch)
                 return
 
     def _accept_round(self, ballot: int, slotted: List[Tuple[int, KvOp]]) -> Generator:
@@ -302,22 +276,11 @@ class PaxosNode:
                     if not rpc.ready() and rpc.cancel_send is not None
                 ]
             )
-        stalls = 0
-        yield quorum.wait(timeout_ms=cfg.accept_timeout_ms)
-        while not quorum.ready() and self._leading(ballot):
-            for peer in self.peers:
-                if self._peer_ack.get(peer, 0) < slotted[-1][0]:
-                    self._ensure_repair(peer, ballot)
-            yield quorum.wait(timeout_ms=cfg.accept_timeout_ms)
-            stalls += 1
-            if stalls > 40:
-                return False
-        if not self._leading(ballot):
-            return False
         last_slot = slotted[-1][0]
-        self.commit_index = max(self.commit_index, last_slot)
-        self.batches_committed += 1
-        yield from self._apply_committed()
+        held = yield from self._await_quorum(quorum, last_slot, ballot, cfg.accept_timeout_ms)
+        if not held or not self._leading(ballot):
+            return False
+        yield from self._commit_batch(last_slot)
         return True
 
     def _classify_accept(self, child) -> bool:
@@ -334,8 +297,8 @@ class PaxosNode:
             self._demote(reply.get("promised", 0), None)
             return
         ack = reply.get("ack", 0)
-        if ack > self._peer_ack.get(peer, 0):
-            self._peer_ack[peer] = ack
+        if ack > self._match_index.get(peer, 0):
+            self._match_index[peer] = ack
 
     def _on_accept(self, payload: Dict[str, Any], src: str) -> Generator:
         cfg = self.config
@@ -395,23 +358,11 @@ class PaxosNode:
             self.commit_index = target
         yield from self._apply_committed()
 
-    def _apply_committed(self) -> Generator:
-        if self._applying:
-            return
-        self._applying = True
-        try:
-            while self.last_applied < self.commit_index:
-                take = min(self.commit_index - self.last_applied, 128)
-                yield self.rt.compute(take * self.config.apply_cost_ms, name="apply")
-                for _ in range(take):
-                    self.last_applied += 1
-                    _ballot, op = self.accepted[self.last_applied]
-                    result = self.kv.apply(op)
-                    done = self._completions.pop(self.last_applied, None)
-                    if done is not None and not done.ready():
-                        done.set({"ok": True, "result": result}, now=self.rt.now)
-        finally:
-            self._applying = False
+    def _apply_entry(self, slot: int) -> None:
+        result = self.kv.apply(self.accepted[slot][1])
+        done = self._completions.pop(slot, None)
+        if done is not None and not done.ready():
+            done.set({"ok": True, "result": result}, now=self.rt.now)
 
     def _recompute_contiguous(self) -> None:
         slot = self.contiguous_accepted
@@ -436,8 +387,8 @@ class PaxosNode:
     def _repair_loop(self, peer: str, ballot: int) -> Generator:
         cfg = self.config
         try:
-            while self._leading(ballot) and self._peer_ack.get(peer, 0) < self.commit_index:
-                start = self._peer_ack.get(peer, 0) + 1
+            while self._leading(ballot) and self._match_index.get(peer, 0) < self.commit_index:
+                start = self._match_index.get(peer, 0) + 1
                 end = min(self.commit_index, start + cfg.batch_max_entries - 1)
                 slotted = [
                     (slot, self.accepted[slot][1])
@@ -465,20 +416,13 @@ class PaxosNode:
     # Clients
     # ==================================================================
     def _on_client_request(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         if not self.is_leader:
-            return {"ok": False, "redirect": self.leader_hint}
-        yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
+            return self._redirect()
+        yield self.rt.compute(self.config.client_op_cost_ms, name="client-op")
         if not self.is_leader:
-            return {"ok": False, "redirect": self.leader_hint}
-        done = ValueEvent(name=f"{self.id}:commit-wait", source=self.id)
-        self._pending_ops.append(_PendingOp(payload["op"], done))
-        if self._pending_signal is not None and not self._pending_signal.ready():
-            self._pending_signal.set(True, now=self.rt.now)
-        result = yield done.wait(timeout_ms=cfg.client_commit_timeout_ms)
-        if result.timed_out:
-            return {"ok": False, "redirect": None}
-        return done.value
+            return self._redirect()
+        reply = yield from self.proposals.commit(payload["op"])
+        return reply
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "leader" if self.is_leader else "acceptor"

@@ -19,9 +19,9 @@ The structure mirrors the paper's §3.1/§3.4 code:
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
+from repro.cluster.leader import LeaderReplica, ProposalQueue
 from repro.cluster.node import Node
 from repro.events.base import Event
 from repro.events.basic import RpcEvent, ValueEvent
@@ -42,16 +42,6 @@ from repro.storage.durable import DurableRaftState
 from repro.storage.kvstore import KvStore
 
 
-class _PendingOp:
-    """A client operation waiting to be batched and committed."""
-
-    __slots__ = ("op", "done")
-
-    def __init__(self, op, done: ValueEvent):
-        self.op = op
-        self.done = done
-
-
 class _NodeNames:
     """One node's event names, built once per node, not once per event.
 
@@ -60,7 +50,7 @@ class _NodeNames:
     """
 
     __slots__ = (
-        "commit_wait", "read_probe", "append_gate", "pending", "heartbeat_seen", "step_down", "repl",
+        "read_probe", "append_gate", "heartbeat_seen", "step_down", "repl",
     )
 
     def __init__(self, node_id: str):
@@ -68,8 +58,10 @@ class _NodeNames:
             setattr(self, site, f"{node_id}:{site.replace('_', '-')}")
 
 
-class RaftNode:
+class RaftNode(LeaderReplica):
     """One member of a DepFastRaft group."""
+
+    _main_name = "raft-main"
 
     def __init__(
         self,
@@ -142,8 +134,7 @@ class RaftNode:
         self._catchup_promises: Dict[str, List[Tuple[int, Event]]] = {}
         # index -> (term, done): a client's promise, made while leading in term.
         self._completions: Dict[int, Tuple[int, ValueEvent]] = {}
-        self._pending_ops: Deque[_PendingOp] = deque()
-        self._pending_signal: Optional[ValueEvent] = None
+        self.proposals = ProposalQueue(self.rt, self.id, self.config)
         self._step_down: Optional[ValueEvent] = None
 
         # Follower serialization + liveness.
@@ -215,10 +206,6 @@ class RaftNode:
     # ==================================================================
     # Lifecycle
     # ==================================================================
-    def start(self) -> None:
-        self.node.start()
-        self.rt.spawn(self._main_loop(), name=f"{self.id}:raft-main")
-
     def rebuild_on(self, node: Node, endpoint=None, **own) -> "RaftNode":
         """A fresh replica of this one's class on its rebooted ``node``.
 
@@ -280,6 +267,12 @@ class RaftNode:
     def _leading(self, term: int) -> bool:
         return self.role == Role.LEADER and self.term == term and not self.rt.crashed
 
+    def _epoch(self) -> int:
+        return self.term
+
+    def _held_index(self) -> int:
+        return self.log.last_index()
+
     # ==================================================================
     # Main loop: follower timers, elections, leadership
     # ==================================================================
@@ -304,24 +297,6 @@ class RaftNode:
                 yield from self._run_election()
             # Learners (and demoted voters) sit out elections entirely:
             # a quiet cluster leaves them parked on the heartbeat wait.
-
-    def _election_timeout(self) -> float:
-        cfg = self.config
-        if cfg.preferred_leader is not None and self.term == 0:
-            # Deterministic first election: the preferred node times out
-            # first and wins before anyone else stirs.
-            if cfg.preferred_leader == self.id:
-                return 10.0 + self.rng.uniform(0.0, 5.0)
-            return cfg.election_timeout_min_ms + self.rng.uniform(
-                0.0, cfg.election_timeout_max_ms - cfg.election_timeout_min_ms
-            )
-        return cfg.election_timeout_min_ms + self.rng.uniform(
-            0.0, self.config.election_timeout_max_ms - cfg.election_timeout_min_ms
-        )
-
-    def _poke_heartbeat(self) -> None:
-        if self._ht_event is not None and not self._ht_event.ready():
-            self._ht_event.set(True, now=self.rt.now)
 
     def _run_election(self) -> Generator:
         cfg = self.config
@@ -379,9 +354,7 @@ class RaftNode:
             # from the WAL after a crash): Raft may only commit it behind
             # an entry of the *current* term, so queue a no-op to drive
             # the commit index forward even if no client traffic arrives.
-            self._pending_ops.append(
-                _PendingOp(("noop",), ValueEvent(name=f"{self.id}:noop"))
-            )
+            self.proposals.admit(("noop",), ValueEvent(name=f"{self.id}:noop"), wake=False)
         self.rt.spawn(self._batcher(term), name=f"{self.id}:batcher@{term}")
         if self.peers:
             self.rt.spawn(self._heartbeat_loop(term), name=f"{self.id}:heartbeats@{term}")
@@ -413,24 +386,19 @@ class RaftNode:
     def _batcher(self, term: int) -> Generator:
         cfg = self.config
         while self._leading(term):
-            if not self._pending_ops:
-                self._pending_signal = ValueEvent(name=self._names.pending)
-                yield self._pending_signal.wait(timeout_ms=cfg.heartbeat_interval_ms)
-                if not self._pending_ops:
-                    continue
-            batch: List[_PendingOp] = []
-            while self._pending_ops and len(batch) < cfg.batch_max_entries:
-                batch.append(self._pending_ops.popleft())
+            batch = yield from self.proposals.next_batch()
+            if not batch:
+                continue
             if not self._leading(term):
                 self._fail_batch(batch)
                 return
             first = self.log.last_index() + 1
             entries: List[LogEntry] = []
-            for offset, pending in enumerate(batch):
-                entry = LogEntry.sized(term, first + offset, pending.op)
+            for offset, (op, done) in enumerate(batch):
+                entry = LogEntry.sized(term, first + offset, op)
                 self.log.append(entry)
                 entries.append(entry)
-                self._completions[entry.index] = (term, pending.done)
+                self._completions[entry.index] = (term, done)
             last = entries[-1].index
 
             build_cost = cfg.append_base_cost_ms + (
@@ -481,25 +449,13 @@ class RaftNode:
                     lambda ev, _t=tracer: _t.report_quorum_event(self.id, ev, self.rt.now)
                 )
 
-            commit_gate = quorum
-            yield commit_gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
-            stalls = 0
-            while not commit_gate.ready() and self._leading(term):
-                # Quorum is late: push repair at whoever has not acked.
-                for peer in self.peers:
-                    if self._match_index[peer] < last:
-                        self._ensure_repair(peer, term)
-                yield commit_gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
-                stalls += 1
-                if stalls > 40:
-                    break  # let client timeouts surface the stall
+            # A give-up keeps batching: client timeouts surface the stall.
+            yield from self._await_quorum(quorum, last, term, cfg.append_rpc_timeout_ms)
             if not self._leading(term):
                 self._fail_batch(batch)
                 return
-            if commit_gate.ready():
-                self.commit_index = max(self.commit_index, last)
-                self.batches_committed += 1
-                yield from self._apply_committed()
+            if quorum.ready():
+                yield from self._commit_batch(last)
 
     def _classify_append(self, child: Event) -> bool:
         if isinstance(child, RpcEvent):
@@ -698,7 +654,7 @@ class RaftNode:
                         "commit": self.commit_index,
                         # Self-reported load: how many client ops await
                         # batching. Followers' detectors read this.
-                        "pending": len(self._pending_ops),
+                        "pending": len(self.proposals),
                     },
                     size_bytes=32,
                 )
@@ -707,58 +663,18 @@ class RaftNode:
     # ==================================================================
     # Apply
     # ==================================================================
-    def _apply_committed(self) -> Generator:
-        if self._applying:
-            return
-        self._applying = True
-        try:
-            while self.last_applied < self.commit_index:
-                # commit_index may run ahead of the local log (a snapshot
-                # install learned a higher commit point than the entries we
-                # hold): apply only what is locally present and let the
-                # next append/repair resume the rest.
-                take = min(
-                    self.commit_index - self.last_applied,
-                    self.log.last_index() - self.last_applied,
-                    128,
-                )
-                if take <= 0:
-                    break
-                yield self.rt.compute(
-                    take * self.config.apply_cost_ms, name="apply"
-                )
-                for _ in range(take):
-                    # A snapshot install during the compute yield may have
-                    # jumped last_applied forward and truncated the log.
-                    if (
-                        self.last_applied >= self.commit_index
-                        or self.last_applied >= self.log.last_index()
-                    ):
-                        break
-                    self.last_applied += 1
-                    entry = self.log.entry_at(self.last_applied)
-                    if is_conf_change(entry.op):
-                        result = self._apply_conf_change(entry.op)
-                    else:
-                        result = self.kv.apply(entry.op)
-                    term, done = self._completions.pop(self.last_applied, (0, None))
-                    if done is not None and not done.ready():
-                        # (index, term) names one proposal: an entry a new
-                        # leader put at this index gets no ``ok`` from here.
-                        ok = term == entry.term
-                        reply = {"ok": True, "result": result} if ok else self._redirect()
-                        done.set(reply, now=self.rt.now)
-            self._maybe_compact()
-        finally:
-            self._applying = False
-
-    def _redirect(self) -> Dict[str, Any]:
-        return {"ok": False, "redirect": self.leader_hint}
-
-    def _fail_batch(self, batch: List[_PendingOp]) -> None:
-        for pending in batch:
-            if not pending.done.ready():
-                pending.done.set(self._redirect(), now=self.rt.now)
+    def _apply_entry(self, index: int) -> None:
+        entry = self.log.entry_at(index)
+        if is_conf_change(entry.op):
+            result = self._apply_conf_change(entry.op)
+        else:
+            result = self.kv.apply(entry.op)
+        term, done = self._completions.pop(index, (0, None))
+        if done is not None and not done.ready():
+            # (index, term) names one proposal: an entry a new leader put
+            # at this index gets no ``ok`` from here.
+            ok = term == entry.term
+            done.set({"ok": True, "result": result} if ok else self._redirect(), now=self.rt.now)
 
     # ==================================================================
     # Membership changes and leadership transfer (mitigation actions)
@@ -802,9 +718,7 @@ class RaftNode:
         if action == CONF_PROMOTE and member in self.voting_members:
             return None
         done = ValueEvent(name=f"{self.id}:conf:{action}:{member}")
-        self._pending_ops.append(_PendingOp((CONF_CHANGE_OP, action, member), done))
-        if self._pending_signal is not None and not self._pending_signal.ready():
-            self._pending_signal.set(True, now=self.rt.now)
+        self.proposals.admit((CONF_CHANGE_OP, action, member), done)
         return done
 
     def transfer_leadership(self, target: str) -> bool:
@@ -965,14 +879,8 @@ class RaftNode:
         yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
         if self.role != Role.LEADER:
             return self._redirect()
-        done = ValueEvent(name=self._names.commit_wait, source=self.id)
-        self._pending_ops.append(_PendingOp(payload["op"], done))
-        if self._pending_signal is not None and not self._pending_signal.ready():
-            self._pending_signal.set(True, now=self.rt.now)
-        result = yield done.wait(timeout_ms=cfg.client_commit_timeout_ms)
-        if result.timed_out:
-            return {"ok": False, "redirect": None}
-        return done.value
+        reply = yield from self.proposals.commit(op)
+        return reply
 
     # ==================================================================
     # Linearizable reads (read_index / lease modes)

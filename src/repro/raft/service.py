@@ -26,6 +26,8 @@ def deploy_depfast_raft(
     config: Optional[RaftConfig] = None,
     spec: Optional[NodeSpec] = None,
     state_machine_factory=None,
+    node_cls=RaftNode,
+    **node_kwargs,
 ) -> Dict[str, RaftNode]:
     """Create and start one DepFastRaft group on the cluster.
 
@@ -33,6 +35,8 @@ def deploy_depfast_raft(
     preferred initial leader so experiments start from a stable, known
     leader (as the paper's measurements do). ``state_machine_factory``
     builds one state machine per replica (defaults to a plain KvStore).
+    ``node_cls`` (a RaftNode subclass) gets ``node_kwargs`` on top of the
+    RaftNode arguments.
     """
     if len(group) % 2 == 0:
         raise ValueError(f"group size must be odd, got {len(group)}")
@@ -40,7 +44,7 @@ def deploy_depfast_raft(
     raft_nodes: Dict[str, RaftNode] = {}
     for node_id in group:
         node = cluster.add_node(node_id, spec=spec or depfast_node_spec())
-        raft_nodes[node_id] = RaftNode(
+        raft_nodes[node_id] = node_cls(
             node,
             group,
             config=config,
@@ -48,6 +52,7 @@ def deploy_depfast_raft(
             state_machine=state_machine_factory() if state_machine_factory else None,
             durable=DurableRaftState(node_id),
             state_machine_factory=state_machine_factory,
+            **node_kwargs,
         )
     for raft_node in raft_nodes.values():
         raft_node.start()

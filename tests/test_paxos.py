@@ -166,3 +166,38 @@ class TestRecoveryDetails:
         new = find_paxos_leader(nodes)
         for slot in range(1, new.last_applied + 1):
             assert slot in new.accepted
+
+
+class TestDeposedLeaderPromise:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Multi-Paxos keys a client's completion by slot alone: a deposed "
+        "leader answers ok for whatever value lands in its slot (ROADMAP 1(i), "
+        "item 10 step 2)",
+    )
+    def test_overwritten_slot_never_acks_its_first_proposal(self):
+        # The leader slots X while cut off from both acceptors; a new leader
+        # commits Y at that slot; after the heal, X's client must not read ok.
+        cluster, nodes, group = deploy(client_commit_timeout_ms=30_000.0)
+        client = cluster.add_client("cx")
+        client.start()
+        replies = {}
+
+        def send(name, target, op):
+            rpc = client.endpoint.call(target, "client_request", {"op": op}, size_bytes=64)
+            result = yield rpc.wait(timeout_ms=60_000.0)
+            replies[name] = None if result.timed_out or not rpc.ok else rpc.reply
+
+        start = cluster.kernel.now
+        cluster.network.partition(["s1"], ["s2", "s3"])
+        client.runtime.spawn(send("x", "s1", ("put", "k", "x")))
+        cluster.run(until_ms=start + 5_000.0)
+        assert [op for _b, op in nodes["s1"].accepted.values()] == [("put", "k", "x")]
+        new = next(node for node in (nodes["s2"], nodes["s3"]) if node.is_leader)
+        client.runtime.spawn(send("y", new.id, ("put", "k", "y")))
+        cluster.run(until_ms=start + 7_000.0)
+        assert replies == {"y": {"ok": True, "result": None}}
+        cluster.network.heal()
+        cluster.run(until_ms=start + 12_000.0)
+        assert "x" in replies
+        assert not replies["x"]["ok"]
