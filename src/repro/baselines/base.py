@@ -3,8 +3,9 @@
 The baselines share DepFastRaft's request path and cost model — client
 admission and the batch cut are the same code
 (:class:`repro.cluster.leader.ProposalQueue`), and log append, WAL group
-commit, follower-side serialization and apply use the same costs — so
-that the *only* difference between Figure 1 and Figure 3 is the
+commit, follower-side serialization and apply are charged the same
+constants from :mod:`repro.cluster.leader` — so that the *only*
+difference between Figure 1 and Figure 3 is the
 replication wait structure each subclass implements in
 :meth:`BaselineRsm._replicate_batch` (plus any extra background behaviour
 installed in :meth:`BaselineRsm._on_leader_start`). One batcher serves
@@ -21,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.cluster.leader import ProposalQueue
+from repro.cluster.leader import (
+    APPLY_COST_MS,
+    CLIENT_OP_COST_MS,
+    ProposalQueue,
+    append_cost,
+    batch_build_cost,
+)
 from repro.cluster.node import Node
 from repro.events.base import Event
 from repro.events.basic import RpcEvent, ValueEvent
@@ -35,21 +42,13 @@ TERM = 1
 
 @dataclass
 class BaselineConfig:
-    """Cost/timing knobs, matched to RaftConfig's defaults for fairness."""
+    """What a baseline sets; costs and timeouts are the pipeline's constants."""
 
     leader: str = "s1"
-    batch_max_entries: int = 64
-    append_rpc_timeout_ms: float = 500.0
-    client_commit_timeout_ms: float = 3000.0
-    heartbeat_interval_ms: float = 100.0
     entry_cache_entries: int = 4096
-
-    client_op_cost_ms: float = 0.45
-    append_base_cost_ms: float = 0.05
-    append_entry_cost_ms: float = 0.02
-    apply_cost_ms: float = 0.06
-    replicate_entry_cost_ms: float = 0.01
-
+    # Read by every leader's ProposalQueue (same defaults as RaftConfig).
+    heartbeat_interval_ms: float = 100.0
+    client_commit_timeout_ms: float = 3000.0
     # Wire bytes per entry byte (serialization/framing overhead); the
     # RethinkDB-like system amplifies this heavily.
     wire_amplification: float = 1.0
@@ -118,7 +117,6 @@ class BaselineRsm:
     # Leader: batching
     # ------------------------------------------------------------------
     def _batcher(self) -> Generator:
-        cfg = self.config
         while not self.rt.crashed:
             batch = yield from self.proposals.next_batch()
             if not batch:
@@ -132,9 +130,7 @@ class BaselineRsm:
                 self._completions[entry.index] = done
             last = entries[-1].index
 
-            build_cost = cfg.append_base_cost_ms + (
-                len(entries) * cfg.replicate_entry_cost_ms * (1 + len(self.peers))
-            )
+            build_cost = batch_build_cost(len(entries), len(self.peers))
             yield self.rt.compute(build_cost, name="batch-build")
 
             yield from self._replicate_batch(entries, first, last)
@@ -246,7 +242,7 @@ class BaselineRsm:
         try:
             while self.last_applied < self.commit_index:
                 take = min(self.commit_index - self.last_applied, 128)
-                yield self.rt.compute(take * self.config.apply_cost_ms, name="apply")
+                yield self.rt.compute(take * APPLY_COST_MS, name="apply")
                 for _ in range(take):
                     self.last_applied += 1
                     entry = self.log.entry_at(self.last_applied)
@@ -261,7 +257,6 @@ class BaselineRsm:
     # RPC handlers
     # ------------------------------------------------------------------
     def _on_replicate(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         previous_gate = self._append_gate
         my_gate = Event(name=f"{self.id}:append-gate")
         self._append_gate = my_gate
@@ -269,10 +264,7 @@ class BaselineRsm:
             if not previous_gate.ready():
                 yield previous_gate.wait()
             entries: List[LogEntry] = payload["entries"]
-            yield self.rt.compute(
-                cfg.append_base_cost_ms + cfg.append_entry_cost_ms * len(entries),
-                name="append",
-            )
+            yield self.rt.compute(append_cost(len(entries)), name="append")
             prev_index = payload["prev_index"]
             if self.log.last_index() < prev_index:
                 return {"success": False, "match": self.log.last_index()}
@@ -303,7 +295,7 @@ class BaselineRsm:
             return {"ok": False, "redirect": self.config.leader}
         if self.rt.crashed:
             return {"ok": False, "redirect": None}
-        yield self.rt.compute(self.config.client_op_cost_ms, name="client-op")
+        yield self.rt.compute(CLIENT_OP_COST_MS, name="client-op")
         reply = yield from self.proposals.commit(payload["op"])
         return reply
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.baselines.base import BaselineConfig, BaselineRsm
+from repro.cluster.leader import REPLICATION_TIMEOUT_MS
 from repro.events.compound import AndEvent
 from repro.raft.types import LogEntry, entries_size
 
@@ -41,7 +42,6 @@ class MongoLikeRsm(BaselineRsm):
     def _replicate_batch(
         self, entries: List[LogEntry], first: int, last: int
     ) -> Generator:
-        cfg = self.config
         # Local group commit.
         self.node.wal.append(entries_size(entries))
         local_sync = self.node.wal.sync()
@@ -50,9 +50,9 @@ class MongoLikeRsm(BaselineRsm):
         rpcs = [self.send_entries(peer, first - 1, entries) for peer in self.peers]
         majority = self.majority_ack_event(rpcs)
         gate = AndEvent(local_sync, majority, name=f"{self.id}:commit-gate")
-        yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+        yield gate.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
         while not gate.ready() and not self.rt.crashed:
-            yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+            yield gate.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
 
         # Flow-control checkpoint: the pathological all-follower wait.
         self._batches_since_checkpoint += 1

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.baselines.base import BaselineConfig, BaselineRsm
+from repro.cluster.leader import REPLICATION_TIMEOUT_MS
 from repro.cluster.node import NodeSpec
 from repro.events.base import Event
 from repro.events.compound import AndEvent
@@ -78,7 +79,6 @@ class RethinkLikeRsm(BaselineRsm):
     def _replicate_batch(
         self, entries: List[LogEntry], first: int, last: int
     ) -> Generator:
-        cfg = self.config
         # Status sync in progress? Writes wait for it (shared locks).
         if not self._write_gate.ready():
             yield self._write_gate.wait()
@@ -89,9 +89,9 @@ class RethinkLikeRsm(BaselineRsm):
         rpcs = [self.send_entries(peer, first - 1, entries) for peer in self.peers]
         majority = self.majority_ack_event(rpcs)
         gate = AndEvent(local_sync, majority, name=f"{self.id}:commit-gate")
-        yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+        yield gate.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
         while not gate.ready() and not self.rt.crashed:
-            yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+            yield gate.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
 
     def _status_sync_loop(self) -> Generator:
         """Periodic all-follower coordination that holds the write gate."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.baselines.base import BaselineConfig, BaselineRsm
+from repro.cluster.leader import REPLICATION_TIMEOUT_MS
 from repro.events.compound import AndEvent
 from repro.raft.types import LogEntry, entries_size
 
@@ -58,7 +59,6 @@ class TidbLikeRsm(BaselineRsm):
     # The store loop: the base batcher, named for the one store thread
     # ------------------------------------------------------------------
     def _replicate_batch(self, entries: List[LogEntry], first: int, last: int) -> Generator:
-        cfg = self.config
         # Raftstore fsyncs raft-log writes on the store thread.
         self.node.wal.append(entries_size(entries))
         local_sync = self.node.wal.sync()
@@ -75,9 +75,9 @@ class TidbLikeRsm(BaselineRsm):
         majority = self.majority_ack_event(rpcs) if rpcs else None
         if majority is not None:
             gate = AndEvent(majority, name=f"{self.id}:commit-gate")
-            yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+            yield gate.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
             while not gate.ready() and not self.rt.crashed:
-                yield gate.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+                yield gate.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
         # Commit + apply follow in the batcher, also on the store thread.
 
     def _probe_lagging_peer(self, peer: str) -> Generator:

@@ -5,40 +5,35 @@ order, and are acknowledged once the tail holds them; reads are served by
 the tail (van Renesse & Schneider, OSDI '04). The head's wait for the
 tail's ack is a single event sourced at the tail — a structural 1/1 wait,
 which is precisely why a fail-slow node *anywhere* in the chain throttles
-every write. The implementation shares the cost model of the RSMs so the
+every write. The implementation charges the RSMs' cost model
+(:mod:`repro.cluster.leader`) plus one per-hop forward cost, so the
 comparison bench isolates the replication topology.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.leader import APPLY_COST_MS, CLIENT_OP_COST_MS
 from repro.cluster.node import Node
 from repro.events.base import Event
 from repro.events.basic import ValueEvent
 from repro.storage.kvstore import KvStore
 
-
-@dataclass
-class ChainConfig:
-    client_op_cost_ms: float = 0.45
-    forward_cost_ms: float = 0.07
-    apply_cost_ms: float = 0.06
-    ack_timeout_ms: float = 3000.0
+FORWARD_COST_MS = 0.07  # a hop's cost to take a write from its predecessor
+ACK_TIMEOUT_MS = 3000.0  # the head's wait for the tail's ack
 
 
 class ChainNode:
     """One member of a replication chain."""
 
-    def __init__(self, node: Node, chain: List[str], config: Optional[ChainConfig] = None):
+    def __init__(self, node: Node, chain: List[str]):
         if node.node_id not in chain:
             raise ValueError(f"{node.node_id} not in chain {chain}")
         self.node = node
         self.id = node.node_id
         self.chain = list(chain)
-        self.config = config or ChainConfig()
         self.rt = node.runtime
         self.ep = node.endpoint
         self.kv = KvStore()
@@ -67,17 +62,16 @@ class ChainNode:
     # Client entry
     # ------------------------------------------------------------------
     def _on_client_request(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         op = payload["op"]
         if op[0] == "get":
             # Reads are the tail's job: it holds only fully-replicated state.
             if not self.is_tail:
                 return {"ok": False, "redirect": self.tail}
-            yield self.rt.compute(cfg.apply_cost_ms, name="chain-read")
+            yield self.rt.compute(APPLY_COST_MS, name="chain-read")
             return {"ok": True, "result": self.kv.get(op[1])}
         if not self.is_head:
             return {"ok": False, "redirect": self.head}
-        yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
+        yield self.rt.compute(CLIENT_OP_COST_MS, name="client-op")
         self._next_seq += 1
         # depfast: allow(DF011) — ``seq`` is an allocation, not a snapshot:
         # each request owns the number it drew, and ``self._next_seq``
@@ -98,7 +92,7 @@ class ChainNode:
         # depfast: allow(DF001) — inherent to chain replication: the head
         # must hear from the tail, so this red edge is the protocol itself
         # (it is what Figure 1 measures), not an implementation slip.
-        result = yield acked.wait(timeout_ms=cfg.ack_timeout_ms)
+        result = yield acked.wait(timeout_ms=ACK_TIMEOUT_MS)
         self._pending.pop(seq, None)
         if result.timed_out:
             return {"ok": False, "redirect": None}
@@ -108,8 +102,7 @@ class ChainNode:
     # Chain propagation
     # ------------------------------------------------------------------
     def _on_chain_write(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
-        yield self.rt.compute(cfg.forward_cost_ms, name="chain-forward")
+        yield self.rt.compute(FORWARD_COST_MS, name="chain-forward")
         yield from self._apply_and_persist(payload["op"])
         if self.is_tail:
             self.ep.notify(self.head, "chain_ack", {"seq": payload["seq"]}, size_bytes=32)
@@ -130,7 +123,7 @@ class ChainNode:
         try:
             if not previous_gate.ready():
                 yield previous_gate.wait()
-            yield self.rt.compute(self.config.apply_cost_ms, name="chain-apply")
+            yield self.rt.compute(APPLY_COST_MS, name="chain-apply")
             self.node.wal.append(_op_size(op))
             sync = self.node.wal.sync()
             yield sync.wait()
@@ -151,18 +144,14 @@ def _op_size(op) -> int:
     return 32 + sum(len(str(part)) for part in op)
 
 
-def deploy_chain(
-    cluster: Cluster,
-    chain: List[str],
-    config: Optional[ChainConfig] = None,
-) -> Dict[str, ChainNode]:
+def deploy_chain(cluster: Cluster, chain: List[str]) -> Dict[str, ChainNode]:
     """Create and start a replication chain (head = first, tail = last)."""
     if len(chain) < 2:
         raise ValueError("a chain needs at least two nodes")
     nodes = {}
     for node_id in chain:
         node = cluster.add_node(node_id)
-        nodes[node_id] = ChainNode(node, chain, config=config)
+        nodes[node_id] = ChainNode(node, chain)
     for chain_node in nodes.values():
         chain_node.start()
     return nodes

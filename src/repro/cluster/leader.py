@@ -7,6 +7,10 @@ differ only in their epoch (term or ballot), in what the quorum waits on
 and in where a completion is keyed; the fixed-leader baselines differ
 only in their replication wait. This module holds what is the same:
 
+* the cost model and the pipeline's constants, charged to every
+  replicated system (Raft, Paxos, the baselines and chain replication);
+* :class:`LeaderConfig` — the options the pipeline reads, the whole of
+  ``PaxosConfig`` and the base of ``RaftConfig``;
 * :class:`ProposalQueue` — admission, the client's commit wait and the
   batch cut, used by every leader (Raft, Paxos and the baselines);
 * :class:`LeaderReplica` — the base of ``RaftNode`` and ``PaxosNode``:
@@ -25,9 +29,54 @@ would stop counting as dedicated.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.events.basic import ValueEvent
+
+# The CPU cost model (CPU-ms on the node's, possibly throttled, CPU): one
+# price list for every system, so Figures 1 and 3 compare wait structures,
+# not costs. Calibrated so a healthy 3-node group serves ~5K requests/s
+# with the leader around 60–75% CPU — the paper's operating point.
+CLIENT_OP_COST_MS = 0.45  # admission + request execution
+APPEND_BASE_COST_MS = 0.05  # per append (Accept) message processed
+APPEND_ENTRY_COST_MS = 0.02  # per entry appended at a follower
+APPLY_COST_MS = 0.06  # per entry applied to the KV (or read from it)
+REPLICATE_ENTRY_COST_MS = 0.01  # per entry serialized per peer
+
+BATCH_MAX_ENTRIES = 64  # a batch cut, and a repair round's entries
+REPLICATION_TIMEOUT_MS = 500.0  # one append / Accept RPC, one late-quorum round
+
+
+def batch_build_cost(entries: int, peers: int) -> float:
+    """A leader's cost to build a batch and serialize it for every replica."""
+    return APPEND_BASE_COST_MS + entries * REPLICATE_ENTRY_COST_MS * (1 + peers)
+
+
+def append_cost(entries: int) -> float:
+    """A follower's cost to process one append of ``entries``."""
+    return APPEND_BASE_COST_MS + APPEND_ENTRY_COST_MS * entries
+
+
+@dataclass
+class LeaderConfig:
+    """The pipeline's options, in virtual ms: every other value is a constant."""
+
+    heartbeat_interval_ms: float = 100.0
+    election_timeout_min_ms: float = 1200.0
+    election_timeout_max_ms: float = 2400.0
+    client_commit_timeout_ms: float = 3000.0
+    discard_on_quorum: bool = True  # cancel sends the quorum no longer needs
+    # A short first election timeout for this node, so the group elects a
+    # deterministic initial leader (the paper measures a stable leader).
+    preferred_leader: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.election_timeout_min_ms > self.election_timeout_max_ms:
+            raise ValueError("election timeout min > max")
+        if self.heartbeat_interval_ms >= self.election_timeout_min_ms:
+            raise ValueError("heartbeats must be faster than election timeouts")
+
 
 Proposal = Tuple[Any, ValueEvent]  # (op, the client's completion)
 
@@ -35,9 +84,9 @@ Proposal = Tuple[Any, ValueEvent]  # (op, the client's completion)
 class ProposalQueue:
     """Client ops waiting for a leader's batcher, oldest first.
 
-    ``config`` is read for ``batch_max_entries``,
-    ``heartbeat_interval_ms`` (the longest an idle batcher sleeps before
-    re-checking its loop condition) and ``client_commit_timeout_ms``.
+    ``config`` is read for ``heartbeat_interval_ms`` (the longest an idle
+    batcher sleeps before re-checking its loop condition) and
+    ``client_commit_timeout_ms``.
     """
 
     __slots__ = ("rt", "config", "_ops", "_signal", "_source", "_pending_name", "_commit_name")
@@ -71,14 +120,14 @@ class ProposalQueue:
         return done.value
 
     def next_batch(self) -> Generator:
-        """The next batch of up to ``batch_max_entries`` proposals; empty
+        """The next batch of up to ``BATCH_MAX_ENTRIES`` proposals; empty
         when none arrived within one heartbeat interval."""
         ops = self._ops
         if not ops:
             self._signal = ValueEvent(name=self._pending_name)
             yield self._signal.wait(timeout_ms=self.config.heartbeat_interval_ms)
         batch: List[Proposal] = []
-        while ops and len(batch) < self.config.batch_max_entries:
+        while ops and len(batch) < BATCH_MAX_ENTRIES:
             batch.append(ops.popleft())
         return batch
 
@@ -113,7 +162,7 @@ class LeaderReplica:
         if self._ht_event is not None and not self._ht_event.ready():
             self._ht_event.set(True, now=self.rt.now)
 
-    def _await_quorum(self, quorum, last: int, epoch: int, timeout_ms: float) -> Generator:
+    def _await_quorum(self, quorum, last: int, epoch: int) -> Generator:
         """Wait for a batch's commit ``quorum``; while it is late, push repair
         at every peer not yet matched through ``last``.
 
@@ -121,13 +170,13 @@ class LeaderReplica:
         quorum fired or leadership was lost; what a give-up means is the
         caller's policy.
         """
-        yield quorum.wait(timeout_ms=timeout_ms)
+        yield quorum.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
         stalls = 0
         while not quorum.ready() and self._leading(epoch):
             for peer in self.peers:
                 if self._match_index[peer] < last:
                     self._ensure_repair(peer, epoch)
-            yield quorum.wait(timeout_ms=timeout_ms)
+            yield quorum.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
             stalls += 1
             if stalls > 40:
                 return False
@@ -155,7 +204,7 @@ class LeaderReplica:
                 )
                 if take <= 0:
                     break
-                yield self.rt.compute(take * self.config.apply_cost_ms, name="apply")
+                yield self.rt.compute(take * APPLY_COST_MS, name="apply")
                 for _ in range(take):
                     # A snapshot install during the compute yield may have
                     # jumped last_applied forward and truncated the log.

@@ -31,11 +31,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.leader import APPLY_COST_MS
 from repro.cluster.node import Node, NodeSpec
 from repro.events.basic import RpcEvent
 from repro.hedging.estimator import HedgeDelayEstimator
 from repro.hedging.hedge import HedgedCall, HedgePolicy
-from repro.raft.config import RaftConfig
+from repro.raft.config import VOTE_RPC_TIMEOUT_MS, RaftConfig
 from repro.raft.node import RaftNode
 from repro.raft.service import deploy_depfast_raft
 from repro.raft.types import LogEntry, Role
@@ -182,7 +183,6 @@ class HedgedRaftNode(RaftNode):
         )
 
     def _serve_read(self, op):
-        cfg = self.config
         # Same own-term-commit guard as the base class (a fresh leader
         # must not serve below an earlier leader's acknowledged tail).
         while self.role == Role.LEADER and not (
@@ -195,7 +195,7 @@ class HedgedRaftNode(RaftNode):
         term = self.term
         read_index = self.commit_index
         probe: Optional[HedgedCall] = None
-        if not (cfg.read_mode == "lease" and self.rt.now < self._lease_until):
+        if not (self.config.read_mode == "lease" and self.rt.now < self._lease_until):
             probe = self._start_hedged_probe(term)
         # Speculation: reach the read point and compute the result while
         # the probe is still in flight (the base class serializes the
@@ -204,12 +204,12 @@ class HedgedRaftNode(RaftNode):
             yield self.rt.sleep(0.5)
         if self.role != Role.LEADER:
             return self._redirect()
-        yield self.rt.compute(cfg.apply_cost_ms, name="read")
+        yield self.rt.compute(APPLY_COST_MS, name="read")
         value = self.kv.get(op[1])
         if probe is not None:
             self.speculative_reads += 1
             if not probe.event.ready():
-                yield probe.wait(timeout_ms=cfg.vote_rpc_timeout_ms)
+                yield probe.wait(timeout_ms=VOTE_RPC_TIMEOUT_MS)
             self.probe_hedges += probe.hedges_sent
             if not (probe.event.ready() and self._leading(term)):
                 # Rollback-on-term-change: the speculated value is

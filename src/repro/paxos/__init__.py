@@ -18,8 +18,7 @@ cut, late-quorum wait and apply loop, with Paxos supplying only its
 ballot, its slot-keyed completions and its repair stream.
 """
 
-from repro.paxos.config import PaxosConfig
-from repro.paxos.node import PaxosNode
+from repro.paxos.node import PaxosConfig, PaxosNode
 from repro.paxos.service import deploy_paxos, find_paxos_leader
 
 __all__ = ["PaxosConfig", "PaxosNode", "deploy_paxos", "find_paxos_leader"]

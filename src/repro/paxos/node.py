@@ -22,13 +22,25 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.cluster.leader import LeaderReplica, ProposalQueue
+from repro.cluster.leader import (
+    BATCH_MAX_ENTRIES,
+    CLIENT_OP_COST_MS,
+    REPLICATION_TIMEOUT_MS,
+    LeaderConfig,
+    LeaderReplica,
+    ProposalQueue,
+    append_cost,
+    batch_build_cost,
+)
 from repro.cluster.node import Node
 from repro.events.basic import RpcEvent, ValueEvent
 from repro.events.compound import QuorumEvent
 from repro.net.rpc import QuorumCall
-from repro.paxos.config import PaxosConfig
 from repro.storage.kvstore import KvOp, KvStore
+
+# Multi-Paxos reads only the leader pipeline's options.
+PaxosConfig = LeaderConfig
+PREPARE_TIMEOUT_MS = 500.0  # one Prepare round
 
 
 class PaxosNode(LeaderReplica):
@@ -158,7 +170,7 @@ class PaxosNode(LeaderReplica):
                 discard_on_quorum=cfg.discard_on_quorum,
                 name=f"{self.id}:prepare@{ballot}",
             )
-            yield call.wait(timeout_ms=cfg.prepare_timeout_ms)
+            yield call.wait(timeout_ms=PREPARE_TIMEOUT_MS)
             for rpc in call.calls:
                 if rpc.ok and isinstance(rpc.reply, dict):
                     if not rpc.reply.get("ok"):
@@ -210,7 +222,6 @@ class PaxosNode(LeaderReplica):
     # Phase 2: Accept (the batch path)
     # ==================================================================
     def _proposer_loop(self, ballot: int) -> Generator:
-        cfg = self.config
         # First, re-commit anything adopted from the prepare round.
         recovered = [
             (slot, self.accepted[slot][1])
@@ -232,9 +243,7 @@ class PaxosNode(LeaderReplica):
                 self._completions[slot] = done
                 slotted.append((slot, op))
             self._recompute_contiguous()
-            build = cfg.accept_base_cost_ms + (
-                len(slotted) * cfg.replicate_entry_cost_ms * (1 + len(self.peers))
-            )
+            build = batch_build_cost(len(slotted), len(self.peers))
             yield self.rt.compute(build, name="accept-build")
             committed = yield from self._accept_round(ballot, slotted)
             if not committed:
@@ -277,7 +286,7 @@ class PaxosNode(LeaderReplica):
                 ]
             )
         last_slot = slotted[-1][0]
-        held = yield from self._await_quorum(quorum, last_slot, ballot, cfg.accept_timeout_ms)
+        held = yield from self._await_quorum(quorum, last_slot, ballot)
         if not held or not self._leading(ballot):
             return False
         yield from self._commit_batch(last_slot)
@@ -301,7 +310,6 @@ class PaxosNode(LeaderReplica):
             self._match_index[peer] = ack
 
     def _on_accept(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         ballot = payload["ballot"]
         if ballot < self.promised_ballot:
             yield self.rt.compute(0.01, name="accept-reject")
@@ -310,10 +318,7 @@ class PaxosNode(LeaderReplica):
         self.leader_hint = payload["proposer"]
         self._poke_heartbeat()
         slots = payload["slots"]
-        yield self.rt.compute(
-            cfg.accept_base_cost_ms + cfg.accept_entry_cost_ms * len(slots),
-            name="accept",
-        )
+        yield self.rt.compute(append_cost(len(slots)), name="accept")
         changed_bytes = 0
         for slot, op in slots:
             held = self.accepted.get(slot)
@@ -389,7 +394,7 @@ class PaxosNode(LeaderReplica):
         try:
             while self._leading(ballot) and self._match_index.get(peer, 0) < self.commit_index:
                 start = self._match_index.get(peer, 0) + 1
-                end = min(self.commit_index, start + cfg.batch_max_entries - 1)
+                end = min(self.commit_index, start + BATCH_MAX_ENTRIES - 1)
                 slotted = [
                     (slot, self.accepted[slot][1])
                     for slot in range(start, end + 1)
@@ -406,7 +411,7 @@ class PaxosNode(LeaderReplica):
                 size = 64 + sum(16 + sum(len(str(p)) for p in op) for _s, op in slotted)
                 rpc = self.ep.call(peer, "paxos_accept", payload, size_bytes=size)
                 rpc.subscribe(lambda ev, _p=peer, _b=ballot: self._on_accept_reply(_p, ev, _b))
-                result = yield rpc.wait(timeout_ms=cfg.accept_timeout_ms)
+                result = yield rpc.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
                 if result.timed_out or not rpc.ok:
                     yield self.rt.sleep(cfg.heartbeat_interval_ms)
         finally:
@@ -418,7 +423,7 @@ class PaxosNode(LeaderReplica):
     def _on_client_request(self, payload: Dict[str, Any], src: str) -> Generator:
         if not self.is_leader:
             return self._redirect()
-        yield self.rt.compute(self.config.client_op_cost_ms, name="client-op")
+        yield self.rt.compute(CLIENT_OP_COST_MS, name="client-op")
         if not self.is_leader:
             return self._redirect()
         reply = yield from self.proposals.commit(payload["op"])

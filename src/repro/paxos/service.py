@@ -6,8 +6,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeSpec
-from repro.paxos.config import PaxosConfig
-from repro.paxos.node import PaxosNode
+from repro.paxos.node import PaxosConfig, PaxosNode
 from repro.raft.service import depfast_node_spec
 
 

@@ -1,10 +1,10 @@
-"""DepFastRaft tuning knobs.
+"""DepFastRaft's options, and the constants only Raft reads.
 
-Timing values are virtual milliseconds; CPU costs are CPU-ms charged to
-the node's (possibly throttled) CPU resource, which is how handler
-processing cost is modelled. The defaults are calibrated so a healthy
-3-node group serves ~5K requests/s with the leader around 60–75% CPU —
-the paper's operating point.
+Timing values are virtual milliseconds. The CPU cost model, the batch cap
+and the replication timeout are the leader pipeline's, shared with every
+other replicated system (:mod:`repro.cluster.leader`); ``RaftConfig`` adds
+to the pipeline's :class:`~repro.cluster.leader.LeaderConfig` only what a
+caller sets: the entry cache, the read path, compaction and membership.
 """
 
 from __future__ import annotations
@@ -12,26 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.cluster.leader import LeaderConfig
+
+VOTE_RPC_TIMEOUT_MS = 400.0  # a RequestVote round, and a read_index probe
+LEASE_DURATION_MS = 300.0  # a lease read's window after a confirmed probe
+
 
 @dataclass
-class RaftConfig:
-    # -- protocol timing ------------------------------------------------
-    heartbeat_interval_ms: float = 100.0
-    election_timeout_min_ms: float = 1200.0
-    election_timeout_max_ms: float = 2400.0
-    append_rpc_timeout_ms: float = 500.0
-    vote_rpc_timeout_ms: float = 400.0
-    client_commit_timeout_ms: float = 3000.0
-
-    # -- batching -------------------------------------------------------
-    batch_max_entries: int = 64
-    repair_batch_entries: int = 64
-
+class RaftConfig(LeaderConfig):
     # -- leader entry cache (recent entries kept in memory) -------------
     entry_cache_entries: int = 4096
-
-    # -- fail-slow-aware framework policy --------------------------------
-    discard_on_quorum: bool = True
 
     # -- read path --------------------------------------------------------
     # "log": reads are replicated log entries (simplest, always safe).
@@ -40,7 +30,6 @@ class RaftConfig:
     # "lease": leader serves reads locally while it holds a heartbeat
     #   lease, falling back to read_index when the lease lapsed.
     read_mode: str = "log"
-    lease_duration_ms: float = 300.0
 
     # -- log compaction ----------------------------------------------------
     # Snapshot + truncate once this many entries are applied beyond the
@@ -50,13 +39,6 @@ class RaftConfig:
     snapshot_threshold_entries: Optional[int] = None
     compaction_keep_entries: int = 1024
 
-    # -- CPU cost model (CPU-ms) -----------------------------------------
-    client_op_cost_ms: float = 0.45        # admission + request execution
-    append_base_cost_ms: float = 0.05      # per AppendEntries processed
-    append_entry_cost_ms: float = 0.02     # per entry appended (follower)
-    apply_cost_ms: float = 0.06            # per entry applied to the KV
-    replicate_entry_cost_ms: float = 0.01  # per entry serialized per peer
-
     # -- membership ------------------------------------------------------
     # Initial voting members (None = every group member votes). Nodes in
     # the group but not listed start as non-voting learners: replicated
@@ -65,18 +47,8 @@ class RaftConfig:
     # (RaftNode.propose_conf_change), not this knob.
     initial_voters: Optional[List[str]] = None
 
-    # If set, this node gets a short first election timeout so the group
-    # elects a deterministic initial leader (the paper measures a stable
-    # leader; elections still work normally afterwards).
-    preferred_leader: Optional[str] = None
-
     def __post_init__(self) -> None:
-        if self.election_timeout_min_ms > self.election_timeout_max_ms:
-            raise ValueError("election timeout min > max")
-        if self.batch_max_entries < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.heartbeat_interval_ms >= self.election_timeout_min_ms:
-            raise ValueError("heartbeats must be faster than election timeouts")
+        super().__post_init__()
         if self.initial_voters is not None and not self.initial_voters:
             raise ValueError("initial_voters must name at least one member")
         if self.read_mode not in ("log", "read_index", "lease"):

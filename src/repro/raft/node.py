@@ -21,13 +21,22 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.cluster.leader import LeaderReplica, ProposalQueue
+from repro.cluster.leader import (
+    APPLY_COST_MS,
+    BATCH_MAX_ENTRIES,
+    CLIENT_OP_COST_MS,
+    REPLICATION_TIMEOUT_MS,
+    LeaderReplica,
+    ProposalQueue,
+    append_cost,
+    batch_build_cost,
+)
 from repro.cluster.node import Node
 from repro.events.base import Event
 from repro.events.basic import RpcEvent, ValueEvent
 from repro.events.compound import QuorumEvent
 from repro.net.rpc import QuorumCall
-from repro.raft.config import RaftConfig
+from repro.raft.config import LEASE_DURATION_MS, VOTE_RPC_TIMEOUT_MS, RaftConfig
 from repro.raft.log import RaftLog
 from repro.raft.types import (
     CONF_CHANGE_OP,
@@ -331,7 +340,7 @@ class RaftNode(LeaderReplica):
         )
         for rpc in call.calls:
             rpc.subscribe(self._check_reply_term)
-        yield call.wait(timeout_ms=cfg.vote_rpc_timeout_ms)
+        yield call.wait(timeout_ms=VOTE_RPC_TIMEOUT_MS)
         if self.role != Role.CANDIDATE or self.term != term:
             return  # a new leader or term appeared meanwhile
         if call.event.ready():
@@ -401,9 +410,7 @@ class RaftNode(LeaderReplica):
                 self._completions[entry.index] = (term, done)
             last = entries[-1].index
 
-            build_cost = cfg.append_base_cost_ms + (
-                len(entries) * cfg.replicate_entry_cost_ms * (1 + len(self.peers))
-            )
+            build_cost = batch_build_cost(len(entries), len(self.peers))
             yield self.rt.compute(build_cost, name="batch-build")
             if not self._leading(term):
                 # Deposed meanwhile. Computes run in order, so only a snapshot install can
@@ -450,7 +457,7 @@ class RaftNode(LeaderReplica):
                 )
 
             # A give-up keeps batching: client timeouts surface the stall.
-            yield from self._await_quorum(quorum, last, term, cfg.append_rpc_timeout_ms)
+            yield from self._await_quorum(quorum, last, term)
             if not self._leading(term):
                 self._fail_batch(batch)
                 return
@@ -592,7 +599,7 @@ class RaftNode(LeaderReplica):
                     if not ok:
                         yield self.rt.sleep(cfg.heartbeat_interval_ms)
                     continue
-                last = min(self.log.last_index(), next_index + cfg.repair_batch_entries - 1)
+                last = min(self.log.last_index(), next_index + BATCH_MAX_ENTRIES - 1)
                 if next_index > last:
                     break
                 entries, disk_bytes, _misses = self.log.slice_cached(next_index, last)
@@ -604,7 +611,7 @@ class RaftNode(LeaderReplica):
                     if not self._leading(term):
                         return
                 rpc = self._send_append(peer, next_index - 1, entries, term)
-                result = yield rpc.wait(timeout_ms=cfg.append_rpc_timeout_ms)
+                result = yield rpc.wait(timeout_ms=REPLICATION_TIMEOUT_MS)
                 if result.timed_out or not rpc.ok:
                     yield self.rt.sleep(cfg.heartbeat_interval_ms)
                     continue
@@ -755,7 +762,6 @@ class RaftNode(LeaderReplica):
     # RPC handlers
     # ==================================================================
     def _on_append_entries(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         term = payload["term"]
         if term < self.term:
             return {"term": self.term, "success": False, "hint": self.log.last_index()}
@@ -772,10 +778,7 @@ class RaftNode(LeaderReplica):
             if not previous_gate.ready():
                 yield previous_gate.wait()
             entries: List[LogEntry] = payload["entries"]
-            yield self.rt.compute(
-                cfg.append_base_cost_ms + cfg.append_entry_cost_ms * len(entries),
-                name="append",
-            )
+            yield self.rt.compute(append_cost(len(entries)), name="append")
             if not self.log.matches(payload["prev_index"], payload["prev_term"]):
                 if self.log.last_index() < payload["prev_index"]:
                     hint = self.log.last_index()
@@ -869,14 +872,13 @@ class RaftNode(LeaderReplica):
         return {"term": self.term, "granted": granted}
 
     def _on_client_request(self, payload: Dict[str, Any], src: str) -> Generator:
-        cfg = self.config
         if self.role != Role.LEADER:
             return self._redirect()
         op = payload["op"]
-        if op[0] == "get" and cfg.read_mode != "log":
+        if op[0] == "get" and self.config.read_mode != "log":
             result = yield from self._serve_read(op)
             return result
-        yield self.rt.compute(cfg.client_op_cost_ms, name="client-op")
+        yield self.rt.compute(CLIENT_OP_COST_MS, name="client-op")
         if self.role != Role.LEADER:
             return self._redirect()
         reply = yield from self.proposals.commit(op)
@@ -894,7 +896,6 @@ class RaftNode(LeaderReplica):
         clock, so the lease's bounded-clock-skew assumption holds
         exactly).
         """
-        cfg = self.config
         # A fresh leader's commit_index may trail entries an earlier leader
         # already acknowledged (the inherited tail). Serving a read below
         # them would be stale, so wait until an entry of our own term has
@@ -910,7 +911,7 @@ class RaftNode(LeaderReplica):
         # ReadIndex protocol (Raft §6.4): the read must wait for the index
         # the leader held *before* proving leadership, not a fresher one.
         read_index = self.commit_index
-        if not (cfg.read_mode == "lease" and self.rt.now < self._lease_until):
+        if not (self.config.read_mode == "lease" and self.rt.now < self._lease_until):
             confirmed = yield from self._confirm_leadership()
             if not confirmed:
                 return self._redirect()
@@ -918,7 +919,7 @@ class RaftNode(LeaderReplica):
             yield self.rt.sleep(0.5)
         if self.role != Role.LEADER:
             return self._redirect()
-        yield self.rt.compute(cfg.apply_cost_ms, name="read")
+        yield self.rt.compute(APPLY_COST_MS, name="read")
         self.reads_served += 1
         return {"ok": True, "result": self.kv.get(op[1])}
 
@@ -942,7 +943,7 @@ class RaftNode(LeaderReplica):
             discard_on_quorum=self.config.discard_on_quorum,
             name=self._names.read_probe,
         )
-        yield call.wait(timeout_ms=self.config.vote_rpc_timeout_ms)
+        yield call.wait(timeout_ms=VOTE_RPC_TIMEOUT_MS)
         # depfast: allow(DF011) — ``term`` is deliberately the pre-probe
         # snapshot: _leading(term) compares it against the *current*
         # self.term, which is exactly the revalidation the rule asks for.
@@ -957,9 +958,7 @@ class RaftNode(LeaderReplica):
 
     def _extend_lease(self, probe_sent_at: float, term: int) -> None:
         if self._leading(term):
-            self._lease_until = max(
-                self._lease_until, probe_sent_at + self.config.lease_duration_ms
-            )
+            self._lease_until = max(self._lease_until, probe_sent_at + LEASE_DURATION_MS)
 
     # ==================================================================
     # Log compaction and snapshot install
@@ -997,7 +996,7 @@ class RaftNode(LeaderReplica):
         }
         rpc = self.ep.call(peer, "install_snapshot", payload, size_bytes=size)
         # Big transfers need a proportionate timeout.
-        timeout = self.config.append_rpc_timeout_ms + size / 100.0
+        timeout = REPLICATION_TIMEOUT_MS + size / 100.0
         result = yield rpc.wait(timeout_ms=timeout)
         if result.timed_out or not rpc.ok or not isinstance(rpc.reply, dict):
             return False

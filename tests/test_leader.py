@@ -1,16 +1,19 @@
 """The leader pipeline is written once: Raft, Multi-Paxos and the baselines
 share one admission / batch cut / commit wait, and Raft and Paxos one
-late-quorum wait and apply loop."""
+late-quorum wait and apply loop. Its options are fields only where a
+caller sets them; every other value is one constant."""
+
+from dataclasses import fields
 
 import pytest
 
-from repro.baselines import BASELINE_SYSTEMS, deploy_baseline
+from repro.baselines import BASELINE_SYSTEMS, BaselineConfig, deploy_baseline
 from repro.cluster.cluster import Cluster
-from repro.cluster.leader import LeaderReplica, ProposalQueue
+from repro.cluster.leader import BATCH_MAX_ENTRIES, LeaderConfig, LeaderReplica, ProposalQueue
 from repro.events.basic import ValueEvent
-from repro.paxos import deploy_paxos
+from repro.paxos import PaxosConfig, deploy_paxos
 from repro.paxos.node import PaxosNode
-from repro.raft import RaftNode, deploy_depfast_raft
+from repro.raft import RaftConfig, RaftNode, deploy_depfast_raft
 
 GROUP = ["s1", "s2", "s3"]
 
@@ -40,18 +43,17 @@ class _Runtime:
 
 
 class _Config:
-    batch_max_entries = 3
     heartbeat_interval_ms = 100.0
     client_commit_timeout_ms = 50.0
 
 
 def test_batch_cut_takes_at_most_batch_max_entries_oldest_first():
     queue = ProposalQueue(_Runtime(), "s1", _Config())
-    for i in range(5):
+    for i in range(BATCH_MAX_ENTRIES + 5):
         queue.admit(i, ValueEvent(name="done"))
     batch = _returned(queue.next_batch())
-    assert [op for op, _done in batch] == [0, 1, 2]
-    assert len(queue) == 2
+    assert [op for op, _done in batch] == list(range(BATCH_MAX_ENTRIES))
+    assert len(queue) == 5
 
 
 def test_idle_batch_cut_waits_on_the_pending_signal():
@@ -72,3 +74,53 @@ def _returned(gen):
     with pytest.raises(StopIteration) as stop:
         gen.send(None)
     return stop.value.value
+
+
+_LEADER_FIELDS = [
+    "heartbeat_interval_ms",
+    "election_timeout_min_ms",
+    "election_timeout_max_ms",
+    "client_commit_timeout_ms",
+    "discard_on_quorum",
+    "preferred_leader",
+]
+
+
+@pytest.mark.parametrize(
+    "config, names",
+    [
+        (LeaderConfig, _LEADER_FIELDS),
+        (PaxosConfig, _LEADER_FIELDS),
+        (
+            RaftConfig,
+            _LEADER_FIELDS + [
+                "entry_cache_entries",
+                "read_mode",
+                "snapshot_threshold_entries",
+                "compaction_keep_entries",
+                "initial_voters",
+            ],
+        ),
+        (
+            BaselineConfig,
+            [
+                "leader",
+                "entry_cache_entries",
+                "heartbeat_interval_ms",
+                "client_commit_timeout_ms",
+                "wire_amplification",
+            ],
+        ),
+    ],
+)
+def test_a_config_field_is_an_option_some_caller_sets(config, names):
+    # Costs, RPC timeouts, batch caps and the lease length have one value
+    # each, held as a constant: a new field here needs a caller that sets it.
+    assert [field.name for field in fields(config)] == names
+
+
+def test_paxos_shares_the_pipeline_checks():
+    with pytest.raises(ValueError, match="heartbeats must be faster"):
+        PaxosConfig(heartbeat_interval_ms=1300.0)
+    with pytest.raises(ValueError, match="min > max"):
+        PaxosConfig(election_timeout_min_ms=500.0, election_timeout_max_ms=400.0)

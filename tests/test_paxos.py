@@ -169,15 +169,10 @@ class TestRecoveryDetails:
 
 
 class TestDeposedLeaderPromise:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Multi-Paxos keys a client's completion by slot alone: a deposed "
-        "leader answers ok for whatever value lands in its slot (ROADMAP 1(i), "
-        "item 10 step 2)",
-    )
-    def test_overwritten_slot_never_acks_its_first_proposal(self):
+    @staticmethod
+    def _overwrite_a_deposed_leaders_slot():
         # The leader slots X while cut off from both acceptors; a new leader
-        # commits Y at that slot; after the heal, X's client must not read ok.
+        # commits Y at that slot; then the partition heals.
         cluster, nodes, group = deploy(client_commit_timeout_ms=30_000.0)
         client = cluster.add_client("cx")
         client.start()
@@ -199,5 +194,26 @@ class TestDeposedLeaderPromise:
         assert replies == {"y": {"ok": True, "result": None}}
         cluster.network.heal()
         cluster.run(until_ms=start + 12_000.0)
+        return nodes, replies
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Multi-Paxos keys a client's completion by slot alone: a deposed "
+        "leader answers ok for whatever value lands in its slot (ROADMAP 1(i), "
+        "item 10 step 2)",
+    )
+    def test_overwritten_slot_never_acks_its_first_proposal(self):
+        _nodes, replies = self._overwrite_a_deposed_leaders_slot()
         assert "x" in replies
         assert not replies["x"]["ok"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a deposed leader applies its own unchosen value: _learn trusts "
+        "contiguous_accepted, which counts the slot it accepted from itself, so "
+        "s1 ends with k=x and s2, s3 with k=y (ROADMAP item 10 step 2)",
+    )
+    def test_replicas_agree_after_the_heal(self):
+        nodes, _replies = self._overwrite_a_deposed_leaders_slot()
+        values = {name: node.kv.get("k") for name, node in nodes.items()}
+        assert len(set(values.values())) == 1, values

@@ -88,6 +88,52 @@ class TestReadModeMechanics:
         with pytest.raises(ValueError):
             RaftConfig(read_mode="psychic")
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a follower grants a vote while it still follows a leader whose "
+        "lease it just renewed (no leader stickiness, Raft thesis 6.4.1), so the "
+        "old leader serves lease reads after a new leader acked a write "
+        "(ROADMAP 1(iv))",
+    )
+    def test_lease_read_never_misses_a_newer_leaders_write(self):
+        # s1 leads and holds a lease; s3, cut off from s1 only, wins a new
+        # term with s2's vote and acks k=v2 while s1 still serves k locally.
+        cluster, raft = deploy(read_mode="lease")
+        run_ops(cluster, [("put", "k", "v1")])
+        client = cluster.add_client("cx")
+        client.start()
+        log = []
+
+        def call(target, op):
+            sent = cluster.kernel.now
+            rpc = client.endpoint.call(target, "client_request", {"op": op}, size_bytes=64)
+            result = yield rpc.wait(timeout_ms=1_000.0)
+            if not result.timed_out and rpc.ok:
+                log.append((sent, cluster.kernel.now, op, rpc.reply))
+
+        def reader():
+            for _ in range(200):
+                yield from call("s1", ("get", "k"))
+                yield client.runtime.sleep(20.0)
+
+        def writer():
+            while not raft["s3"].is_leader():
+                yield client.runtime.sleep(1.0)
+            yield from call("s3", ("put", "k", "v2"))
+
+        cluster.network.block("s1", "s3")
+        client.runtime.spawn(reader())
+        client.runtime.spawn(writer())
+        cluster.run(until_ms=cluster.kernel.now + 5_000.0)
+        acked = [done for _sent, done, op, reply in log if op[0] == "put" and reply["ok"]]
+        assert acked, "s3 never acked k=v2"
+        stale = [
+            (sent, reply["result"])
+            for sent, _done, op, reply in log
+            if op[0] == "get" and reply["ok"] and sent > acked[0] and reply["result"] != "v2"
+        ]
+        assert stale == [], stale
+
 
 # ---------------------------------------------------------------------------
 # RaftLog compaction unit tests
